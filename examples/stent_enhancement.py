@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """The clinical application itself: motion-compensated stent boost.
 
-Runs the full Fig. 2 pipeline over a synthetic angiography sequence
-and writes three PGM images (viewable everywhere, no plotting deps):
+Runs the full Fig. 2 pipeline over a synthetic angiography sequence,
+hands each analysed frame to the presenter (ENH + ZOOM pixels), and
+writes three PGM images (viewable everywhere, no plotting deps):
 
 * ``out_raw.pgm``        -- one noisy input frame;
 * ``out_enhanced.pgm``   -- the temporally integrated (StentBoost) view;
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import SequenceConfig, StentBoostPipeline, XRaySequence
+from repro.imaging import StentBoostPresenter
 from repro.imaging.pipeline import PipelineConfig
 
 
@@ -42,20 +44,21 @@ def main(out_dir: str = ".") -> None:
     seq = XRaySequence(
         SequenceConfig(n_frames=60, seed=2024, visibility_dips=0, injection_frame=5)
     )
-    pipeline = StentBoostPipeline(
-        PipelineConfig(
-            expected_distance=seq.config.resolved_phantom().marker_separation
-        )
+    config = PipelineConfig(
+        expected_distance=seq.config.resolved_phantom().marker_separation
     )
+    pipeline = StentBoostPipeline(config)
+    presenter = StentBoostPresenter(config)
 
     last_raw = None
     last_output = None
     enhanced_roi_stats = []
     for img, truth in seq.iter_frames():
         analysis = pipeline.process(img)
+        output = presenter.present(img, analysis)
         last_raw = img
-        if analysis.output is not None:
-            last_output = analysis.output
+        if output is not None:
+            last_output = output
             roi = analysis.roi_next
             # Noise proxy: local std-dev inside the ROI, away from edges.
             patch_raw = img[roi.slices]
@@ -67,8 +70,8 @@ def main(out_dir: str = ".") -> None:
         print("pipeline never locked onto the markers -- try another seed")
         return
 
-    # Reconstruct the enhanced full frame from the integrator state.
-    enhanced = pipeline.enhancer._acc  # noqa: SLF001 (demo introspection)
+    enhanced = presenter.integrated
+    assert enhanced is not None
     write_pgm(out / "out_raw.pgm", last_raw)
     write_pgm(out / "out_enhanced.pgm", enhanced)
     write_pgm(out / "out_zoomed.pgm", last_output)
@@ -77,7 +80,7 @@ def main(out_dir: str = ".") -> None:
     region = roi.slices if roi is not None else (slice(None), slice(None))
     noise_before = float(np.std(np.diff(last_raw[region], axis=0)))
     noise_after = float(np.std(np.diff(enhanced[region], axis=0)))
-    print(f"frames integrated: {pipeline.enhancer.integrated_frames}")
+    print(f"frames integrated: {presenter.enhancer.integrated_frames}")
     print(
         f"high-frequency noise in ROI: {noise_before:.4f} (raw) -> "
         f"{noise_after:.4f} (enhanced), "

@@ -23,20 +23,23 @@ simulated computation time -- this is how data-dependent content turns
 into the data-dependent timing that Triple-C predicts.
 
 :mod:`repro.imaging.pipeline` wires the stages together with the three
-data-dependent switches of the flow graph.
+data-dependent switches of the flow graph.  It is analysis only: ENH
+and ZOOM are reported from shapes, and their pixels come from the
+opt-in :class:`~repro.imaging.presenter.StentBoostPresenter`.
 """
 
 from repro.imaging.common import BufferAccess, WorkReport
 from repro.imaging.couples import CoupleResult, select_couple
-from repro.imaging.enhance import TemporalEnhancer
+from repro.imaging.enhance import TemporalEnhancer, enhance_report
 from repro.imaging.evaluation import DetectionMetrics, evaluate_detection
 from repro.imaging.guidewire import GuidewireResult, extract_guidewire
 from repro.imaging.markers import MarkerCandidates, extract_markers
 from repro.imaging.pipeline import FrameAnalysis, StentBoostPipeline, SwitchState
+from repro.imaging.presenter import StentBoostPresenter
 from repro.imaging.registration import RigidTransform, register_couples
 from repro.imaging.ridge import RidgeResult, ridge_filter, structure_precheck
 from repro.imaging.roi import Roi, estimate_roi
-from repro.imaging.zoom import zoom_roi
+from repro.imaging.zoom import zoom_report, zoom_roi
 
 __all__ = [
     "BufferAccess",
@@ -55,8 +58,11 @@ __all__ = [
     "GuidewireResult",
     "extract_guidewire",
     "TemporalEnhancer",
+    "enhance_report",
     "zoom_roi",
+    "zoom_report",
     "StentBoostPipeline",
+    "StentBoostPresenter",
     "FrameAnalysis",
     "SwitchState",
     "DetectionMetrics",

@@ -17,7 +17,30 @@ from scipy import ndimage
 from repro.imaging.common import BufferAccess, WorkReport
 from repro.imaging.registration import RigidTransform
 
-__all__ = ["TemporalEnhancer"]
+__all__ = ["TemporalEnhancer", "enhance_report"]
+
+
+def enhance_report(frame_shape: tuple[int, int], integrated_frames: int) -> WorkReport:
+    """Work report of one ENH pass over a ``frame_shape`` frame.
+
+    The work depends only on the frame size and on how many frames
+    the integrator holds after the pass, so the analysis pipeline can
+    report ENH without warping a pixel.
+    """
+    px = frame_shape[0] * frame_shape[1]
+    return WorkReport(
+        task="ENH",
+        pixels=px * 2,  # warp pass + blend pass
+        bytes_in=px * 2,
+        bytes_out=px * 2,
+        buffers=(
+            BufferAccess("input", px * 2),
+            BufferAccess("warped", px * 4),
+            BufferAccess("accumulator", px * 4, passes=2.0),
+            BufferAccess("output", px * 2),
+        ),
+        counts={"integrated_frames": float(integrated_frames)},
+    )
 
 
 class TemporalEnhancer:
@@ -48,6 +71,11 @@ class TemporalEnhancer:
         """How many frames have been blended so far."""
         return self._count
 
+    @property
+    def integrated(self) -> NDArray[np.float32] | None:
+        """The running average itself (not a copy); ``None`` when empty."""
+        return self._acc
+
     def reset(self) -> None:
         """Drop the accumulated average (e.g. after a scene change)."""
         self._acc = None
@@ -75,8 +103,6 @@ class TemporalEnhancer:
         img = np.asarray(img, dtype=np.float32)
         if img.ndim != 2:
             raise ValueError("enhance expects a 2-D image")
-        h, w = img.shape
-        px = img.size
 
         # Rigid warp: rotate about the pivot, then translate.  Build
         # the inverse affine (output -> input) for affine_transform.
@@ -97,17 +123,4 @@ class TemporalEnhancer:
             self._acc += np.float32(self.decay) * (warped - self._acc)
         self._count += 1
 
-        report = WorkReport(
-            task="ENH",
-            pixels=px * 2,  # warp pass + blend pass
-            bytes_in=px * 2,
-            bytes_out=px * 2,
-            buffers=(
-                BufferAccess("input", px * 2),
-                BufferAccess("warped", px * 4),
-                BufferAccess("accumulator", px * 4, passes=2.0),
-                BufferAccess("output", px * 2),
-            ),
-            counts={"integrated_frames": float(self._count)},
-        )
-        return self._acc.copy(), report
+        return self._acc.copy(), enhance_report(img.shape, self._count)

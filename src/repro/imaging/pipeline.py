@@ -29,12 +29,13 @@ from numpy.typing import NDArray
 
 from repro.imaging.common import WorkReport
 from repro.imaging.couples import CoupleResult, select_couple
-from repro.imaging.enhance import TemporalEnhancer
+from repro.imaging.enhance import enhance_report
 from repro.imaging.guidewire import GuidewireResult, extract_guidewire
 from repro.imaging.markers import MarkerCandidates, extract_markers
 from repro.imaging.registration import RigidTransform, register_couples
 from repro.imaging.ridge import ridge_filter, structure_precheck
 from repro.imaging.roi import Roi, estimate_roi
+from repro.imaging.zoom import presentation_shape, zoom_report
 
 __all__ = [
     "PipelineConfig",
@@ -56,7 +57,7 @@ class PipelineConfig:
     max_candidates:
         Cap on marker candidates kept per frame.
     enhancer_decay:
-        Temporal-integration blending weight.
+        Temporal-integration blending weight (used by the presenter).
     roi_margin_factor:
         ROI half-extent as a multiple of the marker separation.
     reset_after_lost:
@@ -113,7 +114,6 @@ class FrameAnalysis:
     guidewire: GuidewireResult | None
     roi_used: Roi | None
     roi_next: Roi | None
-    output: NDArray[np.float32] | None
     extras: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -157,12 +157,15 @@ class StentBoostPipeline:
     The pipeline carries exactly the state the application needs
     across frames: the current ROI (granularity switch), the reference
     marker couple (registration target / enhancement geometry), the
-    temporal integrator, and the couple-loss counter.
+    integrated-frame count, and the couple-loss counter.
+
+    It is the analysis half of the application: ENH and ZOOM are
+    reported from shapes and the integrated-frame count, and their
+    pixels are left to :class:`~repro.imaging.presenter.StentBoostPresenter`.
     """
 
     def __init__(self, config: PipelineConfig | None = None) -> None:
         self.config = config or PipelineConfig()
-        self.enhancer = TemporalEnhancer(decay=self.config.enhancer_decay)
         #: Optional QoS quality level (see repro.runtime.quality); when
         #: set, it overrides the ridge scale set and candidate cap.
         self.quality = None
@@ -170,6 +173,7 @@ class StentBoostPipeline:
         self._ref_couple: CoupleResult | None = None
         self._prev_couple: CoupleResult | None = None
         self._lost_frames = 0
+        self._integrated_frames = 0
         self._frame_index = 0
 
     # -- state inspection ---------------------------------------------------
@@ -186,11 +190,11 @@ class StentBoostPipeline:
 
     def reset(self) -> None:
         """Return to the initial full-frame, no-reference state."""
-        self.enhancer.reset()
         self._roi = None
         self._ref_couple = None
         self._prev_couple = None
         self._lost_frames = 0
+        self._integrated_frames = 0
         self._frame_index = 0
 
     # -- execution ----------------------------------------------------------
@@ -255,7 +259,6 @@ class StentBoostPipeline:
 
         guidewire: GuidewireResult | None = None
         roi_next: Roi | None = None
-        output: NDArray[np.float32] | None = None
 
         if reg_success:
             # Success path: ROI EST -> GW EXT -> ENH -> ZOOM.
@@ -269,19 +272,12 @@ class StentBoostPipeline:
             )
             reports[rep.task] = rep
 
-            enhanced, rep = self.enhancer.enhance(img, transform)
+            # ENH and ZOOM work depends only on shapes and the
+            # integrated-frame count; their pixels are presentation.
+            self._integrated_frames += 1
+            rep = enhance_report(img.shape, self._integrated_frames)
             reports[rep.task] = rep
-
-            from repro.imaging.zoom import zoom_roi  # local: avoids cycle
-
-            # Fixed presentation size: Table 1 gives ZOOM a constant
-            # 4,096 KB output (2x the frame bytes -> sqrt(2) linear),
-            # which is why Table 2(b) models ZOOM as a constant cost.
-            out_shape = (
-                int(round(img.shape[0] * np.sqrt(2.0))),
-                int(round(img.shape[1] * np.sqrt(2.0))),
-            )
-            output, rep = zoom_roi(enhanced, roi_next, output_shape=out_shape)
+            rep = zoom_report(img.shape, roi_next, presentation_shape(img.shape))
             reports[rep.task] = rep
 
             if self._ref_couple is None:
@@ -297,7 +293,7 @@ class StentBoostPipeline:
                 # Track lost: drop reference and integrator so the
                 # next detection re-initializes the geometry.
                 self._ref_couple = None
-                self.enhancer.reset()
+                self._integrated_frames = 0
 
         self._prev_couple = couple
         switches = SwitchState(
@@ -313,7 +309,6 @@ class StentBoostPipeline:
             guidewire=guidewire,
             roi_used=roi_used,
             roi_next=roi_next,
-            output=output,
             extras={
                 "roi_kpixels": (roi_used.pixels / 1000.0) if roi_used else img.size / 1000.0,
                 "lost_frames": float(self._lost_frames),

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.signal import lfilter
 
 __all__ = ["EwmaFilter", "ewma", "high_low_split"]
 
@@ -92,6 +91,10 @@ def ewma(x: ArrayLike, alpha: float, initial: float | None = None) -> NDArray[np
     filter residuals, and a last-ulp discrepancy at a bin edge would
     flip the Markov state the streaming path selects.
     """
+    # Deferred: scipy.signal pulls in scipy.stats, about a second of
+    # import time that every ``python -m repro`` start would pay.
+    from scipy.signal import lfilter
+
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("ewma expects a 1-D series")

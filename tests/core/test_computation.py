@@ -138,7 +138,15 @@ class TestRoiLinearMarkovPredictor:
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
-            RoiLinearMarkovPredictor.fit([(np.array([1.0]), np.array([1.0]))])
+            RoiLinearMarkovPredictor.fit([(np.empty(0), np.empty(0))])
+        with pytest.raises(ValueError):
+            RoiLinearMarkovPredictor.fit([])
+
+    def test_single_sample_fits_constant(self):
+        p = RoiLinearMarkovPredictor.fit([(np.array([80.0]), np.array([8.0]))])
+        assert p.slope == 0.0
+        assert p.intercept == 8.0
+        assert p.predict(PredictionContext(roi_kpixels=120.0)) == pytest.approx(8.0)
 
 
 class TestComputationModel:

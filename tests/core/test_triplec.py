@@ -88,3 +88,34 @@ class TestHeldOutAccuracy:
             trained_model.observe(fa.scenario_id, res.task_ms, roi_kpx)
         rep = prediction_accuracy(np.asarray(preds), np.asarray(actuals))
         assert rep.mean_accuracy > 0.90
+
+
+def _single_roi_ridge_traces():
+    """Profile the first small one-sequence corpus, scanning base seeds,
+    in which the ROI ridge task ``RDG_ROI`` ran exactly once."""
+    from repro.profiling import ProfileConfig, profile_corpus
+    from repro.synthetic import CorpusSpec, generate_corpus
+
+    for seed in range(200):
+        spec = CorpusSpec(
+            n_sequences=1, total_frames=16, width=128, height=128, base_seed=seed
+        )
+        traces = profile_corpus(generate_corpus(spec), ProfileConfig(), jobs=1)
+        if traces.task_values("RDG_ROI").size == 1:
+            return traces
+    pytest.fail("no corpus ran RDG_ROI exactly once in 200 seeds")
+
+
+class TestSparseTraining:
+    def test_fit_with_one_roi_ridge_sample(self):
+        """One RDG_ROI sample fits the constant ROI model instead of
+        raising (a task that never ran is simply left out)."""
+        from repro.core import TripleC
+        from repro.core.computation import RoiLinearMarkovPredictor
+
+        traces = _single_roi_ridge_traces()
+        model = TripleC.fit(traces)
+        roi_model = model.computation.predictors["RDG_ROI"]
+        assert isinstance(roi_model, RoiLinearMarkovPredictor)
+        assert roi_model.slope == 0.0
+        assert roi_model.intercept == traces.task_values("RDG_ROI")[0]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.imaging.enhance import TemporalEnhancer
+from repro.imaging.enhance import TemporalEnhancer, enhance_report
 from repro.imaging.registration import RigidTransform
 
 
@@ -72,3 +72,17 @@ class TestTemporalEnhancer:
         names = {b.name for b in rep.buffers}
         assert {"input", "warped", "accumulator", "output"} <= names
         assert rep.pixels == 32 * 32 * 2
+
+    def test_report_is_shape_only(self):
+        enh = TemporalEnhancer()
+        img = np.zeros((32, 48), dtype=np.float32)
+        for k in (1, 2, 3):
+            _, rep = enh.enhance(img, ident())
+            assert rep == enhance_report(img.shape, k)
+
+    def test_integrated_is_live_accumulator(self):
+        enh = TemporalEnhancer()
+        assert enh.integrated is None
+        out, _ = enh.enhance(np.full((16, 16), 0.5, dtype=np.float32), ident())
+        assert enh.integrated is not None
+        np.testing.assert_array_equal(enh.integrated, out)

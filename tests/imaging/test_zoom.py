@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.imaging.roi import Roi
-from repro.imaging.zoom import zoom_roi
+from repro.imaging.zoom import presentation_shape, zoom_report, zoom_roi
 
 
 class TestZoomRoi:
@@ -45,3 +45,31 @@ class TestZoomRoi:
         assert rep.pixels == 100 * 100
         assert rep.count("roi_kpixels") == pytest.approx(1.6)
         assert rep.count("out_kpixels") == pytest.approx(10.0)
+
+
+class TestZoomReport:
+    @pytest.mark.parametrize(
+        "roi, output_shape",
+        [
+            (Roi(20, 20, 60, 80), (80, 120)),
+            (Roi(0, 0, 50, 50), (181, 181)),
+            # Odd factors, where scipy's rounded shape overshoots or
+            # matches the requested one.
+            (Roi(3, 5, 40, 36), (77, 59)),
+            # ROI reaching past the frame: the window is clipped.
+            (Roi(100, 90, 140, 160), (57, 91)),
+        ],
+    )
+    def test_equals_zoom_roi_report(self, roi, output_shape):
+        img = np.random.default_rng(3).random((128, 128)).astype(np.float32)
+        out, rep = zoom_roi(img, roi, output_shape=output_shape)
+        assert zoom_report(img.shape, roi, output_shape) == rep
+        assert rep.pixels == out.size
+
+    def test_empty_window_raises(self):
+        with pytest.raises(ValueError):
+            zoom_report((32, 32), Roi(32, 0, 40, 10), (16, 16))
+
+    def test_presentation_shape_is_sqrt2_frame(self):
+        assert presentation_shape((256, 256)) == (362, 362)
+        assert presentation_shape((128, 96)) == (181, 136)
