@@ -20,13 +20,8 @@ the exit status reflects *new* violations only; ``--write-baseline``
 refreshes the file.  The exit status is nonzero when any remaining
 finding reaches ``--fail-on`` severity (default: ``error``), making
 the command directly usable as a CI gate and as a pre-commit hook.
-
-``--incremental`` serves per-module findings from a content-hash
-cache under ``--cache-dir`` (default ``.repro-analysis-cache/``) and
-re-analyzes only changed modules plus their reverse-import closure;
-``--stats`` reports per-pass wall time and cache hits/misses on
-stderr (``--stats-json FILE`` writes the same as JSON for CI
-artifacts).
+``--stats`` reports per-pass wall time on stderr.  Findings are
+always computed fresh: the suite keeps no cache.
 
 Examples::
 
@@ -34,13 +29,22 @@ Examples::
     python -m repro.analysis src/repro --no-graph --format json
     python -m repro.analysis --format sarif > analysis.sarif
     python -m repro.analysis --baseline analysis-baseline.json
-    python -m repro.analysis --incremental --stats
+    python -m repro.analysis --no-graph --stats
     python -m repro.analysis --graph mygraphs.py:build_graph --fail-on warning
     python -m repro.analysis schedcheck --apps stentboost,ultrasound --cores 8
 
 The ``schedcheck`` subcommand runs the scenario-space schedulability
-model checker over composite workload mixes instead of the default
-suite (see :mod:`repro.analysis.schedcheck_cli`).
+model checker (:mod:`repro.analysis.schedcheck`) over one application
+mix or, with ``--apps all`` / no ``--apps``, over the whole composite
+matrix: every registered workload alone, every homogeneous pair and
+every heterogeneous pair.  ``--envelope FILE`` also writes the
+per-workload feasibility envelope.  Both entry points report through
+the same code (text / JSON / SARIF output, committed baselines,
+``--fail-on`` severity gate)::
+
+    python -m repro.analysis schedcheck --apps stentboost,stentboost --cores 8
+    python -m repro.analysis schedcheck --apps all --format sarif
+    python -m repro.analysis schedcheck --envelope sched-envelope.json
 """
 
 from __future__ import annotations
@@ -48,9 +52,11 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, cast
 
 from repro.analysis.astlint import lint_paths
 from repro.analysis.baseline import filter_baselined, load_baseline, write_baseline
@@ -67,28 +73,40 @@ from repro.analysis.findings import (
 )
 from repro.analysis.graphcheck import (
     ALL_SCENARIO_IDS,
+    PlatformLike,
     check_flowgraph,
     scenario_ids_for,
 )
-from repro.analysis.incremental import (
-    ALL_PASSES,
-    DEFAULT_CACHE_DIR,
-    AnalysisStats,
-    _Timer,
-    run_incremental,
-)
 from repro.analysis.rules import default_rules
 from repro.analysis.sarif import findings_to_sarif_json
+from repro.analysis.schedcheck import (
+    DEFAULT_REPORT_CAP,
+    check_schedulability,
+    compute_envelope,
+)
 from repro.analysis.suppress import apply_suppressions, scan_suppressions
 from repro.graph.flowgraph import FlowGraph
+from repro.obs.clock import monotonic_s
+from repro.util.units import HZ_VIDEO
+from repro.workloads import all_workloads, workload_names
 
-__all__ = ["build_parser", "main"]
+__all__ = [
+    "add_reporting_options",
+    "build_parser",
+    "build_schedcheck_parser",
+    "main",
+    "matrix_mixes",
+    "report",
+]
 
 #: Sentinel: check every graph in the workload registry.
 WORKLOADS_GRAPH = "workloads"
 
 DEFAULT_GRAPH = WORKLOADS_GRAPH
 DEFAULT_PLATFORM = "repro.hw.spec:blackford"
+
+#: Sentinel for the full composite matrix.
+ALL_APPS = "all"
 
 
 def _load_factory(spec: str) -> Callable[[], object]:
@@ -121,6 +139,91 @@ def _default_lint_root() -> Path:
     import repro
 
     return Path(repro.__file__).resolve().parent
+
+
+# -- shared reporting ----------------------------------------------------------
+
+
+def add_reporting_options(parser: argparse.ArgumentParser) -> None:
+    """The output and gating options both entry points share."""
+    parser.add_argument(
+        "--format",
+        choices=("text", "json", "sarif"),
+        default="text",
+        help="output format (default: text)",
+    )
+    parser.add_argument(
+        "--baseline",
+        type=Path,
+        default=None,
+        metavar="FILE",
+        help="subtract a committed baseline; only new findings remain",
+    )
+    parser.add_argument(
+        "--write-baseline",
+        type=Path,
+        default=None,
+        metavar="FILE",
+        help="write the current findings as a baseline and exit 0",
+    )
+    parser.add_argument(
+        "--fail-on",
+        type=Severity.parse,
+        default=Severity.ERROR,
+        metavar="{error,warning,info}",
+        help="minimum severity that makes the exit status nonzero "
+        "(default: error)",
+    )
+
+
+def report(findings: list[Finding], args: argparse.Namespace, prog: str) -> int:
+    """Write or apply the baseline, print ``findings``, return the exit status."""
+    if args.write_baseline is not None:
+        write_baseline(args.write_baseline, findings)
+        print(f"wrote {len(findings)} finding(s) to {args.write_baseline}")
+        return 0
+
+    if args.baseline is not None:
+        try:
+            baseline = load_baseline(args.baseline)
+        except (OSError, ValueError, KeyError) as exc:
+            raise SystemExit(f"{prog}: error: {exc}") from exc
+        findings = filter_baselined(findings, baseline)
+
+    if args.format == "json":
+        print(findings_to_json(findings))
+    elif args.format == "sarif":
+        descriptions = {
+            rule_id: description
+            for rule_id, (_, description) in rule_catalog().items()
+        }
+        print(findings_to_sarif_json(findings, descriptions))
+    else:
+        print(format_findings(findings))
+
+    return 1 if count_at_least(findings, args.fail_on) else 0
+
+
+@contextmanager
+def _timed(seconds: dict[str, float], name: str) -> Iterator[None]:
+    """Add the wall time of the block to ``seconds[name]`` (obs clock,
+    so the ``lint/direct-time-call`` rule stays clean)."""
+    t0 = monotonic_s()
+    try:
+        yield
+    finally:
+        seconds[name] = seconds.get(name, 0.0) + monotonic_s() - t0
+
+
+def _render_stats(seconds: dict[str, float]) -> str:
+    lines = ["analysis stats:"]
+    for name, elapsed in seconds.items():
+        lines.append(f"  pass {name:12s} {elapsed * 1e3:9.1f} ms")
+    lines.append(f"  total         {sum(seconds.values()) * 1e3:9.1f} ms")
+    return "\n".join(lines)
+
+
+# -- the default suite ---------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,58 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the perf-smell pass",
     )
     parser.add_argument(
-        "--incremental",
-        action="store_true",
-        help="serve unchanged modules from the content-hash cache; "
-        "re-analyze only changed modules and their importers",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"incremental cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="report per-pass wall time and cache hits/misses on stderr",
+        help="report per-pass wall time on stderr",
     )
-    parser.add_argument(
-        "--stats-json",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the --stats payload as JSON (CI artifact)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="subtract a committed baseline; only new findings remain",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the current findings as a baseline and exit 0",
-    )
-    parser.add_argument(
-        "--fail-on",
-        type=Severity.parse,
-        default=Severity.ERROR,
-        metavar="{error,warning,info}",
-        help="minimum severity that makes the exit status nonzero "
-        "(default: error)",
-    )
+    add_reporting_options(parser)
     parser.add_argument(
         "--list-rules",
         action="store_true",
@@ -231,129 +287,195 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "schedcheck":
-        # Subcommand: the scenario-space schedulability checker.  A
-        # plain positional would collide with the PATH arguments of
-        # the default suite, so it is dispatched before parsing.
-        from repro.analysis.schedcheck_cli import main as schedcheck_main
+def _graph_findings(args: argparse.Namespace) -> list[Finding]:
+    try:
+        if args.graph == WORKLOADS_GRAPH:
+            # The scenario id range follows each workload's own
+            # switch set rather than assuming the StentBoost eight.
+            graphs = [
+                (wl.build_graph(), scenario_ids_for(wl.switch_names))
+                for wl in all_workloads()
+            ]
+        else:
+            graphs = [(_load_factory(args.graph)(), ALL_SCENARIO_IDS)]
+        platform_factory = (
+            _load_factory(args.platform) if args.platform else None
+        )
+    except (argparse.ArgumentTypeError, ImportError) as exc:
+        raise SystemExit(f"repro.analysis: error: {exc}") from exc
+    platform = platform_factory() if platform_factory is not None else None
+    findings: list[Finding] = []
+    for graph, scenario_ids in graphs:
+        if not isinstance(graph, FlowGraph):
+            raise SystemExit(
+                f"graph factory {args.graph!r} returned "
+                f"{type(graph).__name__}, expected FlowGraph"
+            )
+        findings += check_flowgraph(graph, platform, scenario_ids)
+    return findings
 
-        return schedcheck_main(argv[1:])
-    args = build_parser().parse_args(argv)
+
+def _run_suite(argv: Sequence[str]) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.list_rules:
         for rule_id, (severity, description) in rule_catalog().items():
             print(f"{rule_id:32s} {severity.name.lower():8s} {description}")
         return 0
 
-    findings: list[Finding] = []
     roots = list(args.paths) or [_default_lint_root()]
     missing = [p for p in roots if not p.exists()]
     if missing:
         raise SystemExit(f"no such path: {', '.join(map(str, missing))}")
 
-    passes = [
-        name
-        for name, skipped in (
-            ("lint", args.no_lint),
-            ("dataflow", args.no_dataflow),
-            ("effects", args.no_effects),
-            ("perf", args.no_perf),
-        )
-        if not skipped
-    ]
-    assert set(passes) <= set(ALL_PASSES)
-    stats = AnalysisStats()
-
-    if args.incremental:
-        result = run_incremental(roots, cache_dir=args.cache_dir, passes=passes)
-        findings += result.findings
-        stats = result.stats
-    else:
-        # One symbol table feeds every whole-program pass.
-        if "lint" in passes:
-            with _Timer(stats, "lint"):
-                findings += lint_paths(roots, default_rules())
-        table = None
-        if {"dataflow", "effects", "perf"} & set(passes):
-            with _Timer(stats, "parse"):
-                table = build_symbol_table(roots)
-        if table is not None and "dataflow" in passes:
-            with _Timer(stats, "dataflow"):
+    findings: list[Finding] = []
+    seconds: dict[str, float] = {}
+    if not args.no_lint:
+        with _timed(seconds, "lint"):
+            findings += lint_paths(roots, default_rules())
+    # One symbol table feeds every whole-program pass.
+    if not (args.no_dataflow and args.no_effects and args.no_perf):
+        with _timed(seconds, "parse"):
+            table = build_symbol_table(roots)
+        if not args.no_dataflow:
+            with _timed(seconds, "dataflow"):
                 findings += run_dataflow(roots, table=table)
-        if table is not None and "effects" in passes:
-            with _Timer(stats, "effects"):
+        if not args.no_effects:
+            with _timed(seconds, "effects"):
                 findings += run_effects(table, infer_effects(table))
-        if table is not None and "perf" in passes:
-            with _Timer(stats, "perf"):
+        if not args.no_perf:
+            with _timed(seconds, "perf"):
                 findings += check_perf(table)
-        stats.analyzed = [str(f) for f in iter_source_files(roots)]
-        stats.cache_misses = len(stats.analyzed)
 
     if not args.no_graph:
-        try:
-            if args.graph == WORKLOADS_GRAPH:
-                from repro.workloads import all_workloads
+        findings += _graph_findings(args)
 
-                # The scenario id range follows each workload's own
-                # switch set rather than assuming the StentBoost eight.
-                graphs = [
-                    (wl.build_graph(), scenario_ids_for(wl.switch_names))
-                    for wl in all_workloads()
-                ]
-            else:
-                graphs = [(_load_factory(args.graph)(), ALL_SCENARIO_IDS)]
-            platform_factory = (
-                _load_factory(args.platform) if args.platform else None
-            )
-        except (argparse.ArgumentTypeError, ImportError) as exc:
-            raise SystemExit(f"repro.analysis: error: {exc}") from exc
-        platform = platform_factory() if platform_factory is not None else None
-        for graph, scenario_ids in graphs:
-            if not isinstance(graph, FlowGraph):
-                raise SystemExit(
-                    f"graph factory {args.graph!r} returned "
-                    f"{type(graph).__name__}, expected FlowGraph"
-                )
-            findings += check_flowgraph(graph, platform, scenario_ids)
+    # Inline suppressions apply to everything located at a path:line.
+    markers = scan_suppressions(iter_source_files(roots))
+    findings = apply_suppressions(findings, markers)
 
-    if not args.incremental:
-        # Inline suppressions apply to everything located at a
-        # path:line.  (The incremental engine applies them to dirty
-        # modules itself; cached findings are already post-suppression,
-        # and re-scanning clean files here would flag every marker in
-        # them as stale.)
-        markers = scan_suppressions(iter_source_files(roots))
-        findings = apply_suppressions(findings, markers)
+    if args.stats:
+        print(_render_stats(seconds), file=sys.stderr)
 
-    if args.stats or args.stats_json is not None:
-        if args.stats:
-            print(stats.render(), file=sys.stderr)
-        if args.stats_json is not None:
-            args.stats_json.write_text(stats.to_json() + "\n", encoding="utf-8")
+    return report(findings, args, parser.prog)
 
-    if args.write_baseline is not None:
-        write_baseline(args.write_baseline, findings)
-        print(f"wrote {len(findings)} finding(s) to {args.write_baseline}")
-        return 0
 
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(f"repro.analysis: error: {exc}") from exc
-        findings = filter_baselined(findings, baseline)
+# -- schedcheck ----------------------------------------------------------------
 
-    if args.format == "json":
-        print(findings_to_json(findings))
-    elif args.format == "sarif":
-        descriptions = {
-            rule_id: description
-            for rule_id, (_, description) in rule_catalog().items()
-        }
-        print(findings_to_sarif_json(findings, descriptions))
+
+def build_schedcheck_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro.analysis schedcheck",
+        description=(
+            "scenario-space schedulability model checker for composite "
+            "multi-workload graphs"
+        ),
+    )
+    parser.add_argument(
+        "--apps",
+        default=ALL_APPS,
+        help="comma-separated workload names, one per concurrent "
+        "instance (e.g. stentboost,ultrasound); 'all' checks every "
+        "workload alone plus every pair (default: all)",
+    )
+    parser.add_argument(
+        "--cores",
+        type=int,
+        default=None,
+        help="core count to check against (default: the platform's)",
+    )
+    parser.add_argument(
+        "--platform",
+        default=DEFAULT_PLATFORM,
+        help="platform-spec factory MODULE:CALLABLE "
+        "(default: %(default)s)",
+    )
+    parser.add_argument(
+        "--rate-hz",
+        type=float,
+        default=HZ_VIDEO,
+        help="frame rate defining the period (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--report-cap",
+        type=int,
+        default=DEFAULT_REPORT_CAP,
+        help="most-probable violations reported per rule "
+        "(default: %(default)s)",
+    )
+    parser.add_argument(
+        "--envelope",
+        type=Path,
+        default=None,
+        metavar="FILE",
+        help="also write the per-workload feasibility envelope JSON "
+        "(consumed by the fleet admission controller)",
+    )
+    add_reporting_options(parser)
+    return parser
+
+
+def matrix_mixes(names: Sequence[str]) -> list[tuple[str, ...]]:
+    """The composite matrix: singles, homogeneous and hetero pairs."""
+    mixes: list[tuple[str, ...]] = [(n,) for n in names]
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            mixes.append((a, b))
+    return mixes
+
+
+def _run_schedcheck(argv: Sequence[str]) -> int:
+    parser = build_schedcheck_parser()
+    args = parser.parse_args(argv)
+    prog = parser.prog
+
+    try:
+        platform = cast(PlatformLike, _load_factory(args.platform)())
+    except (argparse.ArgumentTypeError, ImportError) as exc:
+        raise SystemExit(f"{prog}: error: {exc}") from exc
+
+    if args.apps == ALL_APPS:
+        mixes = matrix_mixes(workload_names())
     else:
-        print(format_findings(findings))
+        names = tuple(a.strip() for a in args.apps.split(",") if a.strip())
+        if not names:
+            raise SystemExit(
+                f"{prog}: error: --apps needs at least one workload name"
+            )
+        mixes = [names]
 
-    return 1 if count_at_least(findings, args.fail_on) else 0
+    findings: list[Finding] = []
+    for mix in mixes:
+        try:
+            findings += check_schedulability(
+                list(mix),
+                platform,
+                cores=args.cores,
+                rate_hz=args.rate_hz,
+                report_cap=args.report_cap,
+            ).findings
+        except KeyError as exc:
+            raise SystemExit(f"{prog}: error: {exc}") from exc
+
+    if args.envelope is not None:
+        envelope = compute_envelope(
+            platform, cores=args.cores, rate_hz=args.rate_hz
+        )
+        args.envelope.write_text(
+            json.dumps(envelope.to_doc(), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        print(f"wrote feasibility envelope to {args.envelope}", file=sys.stderr)
+
+    return report(findings, args, prog)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] == "schedcheck":
+        # A plain positional would collide with the PATH arguments of
+        # the default suite, so the subcommand is dispatched before
+        # parsing.
+        return _run_schedcheck(argv[1:])
+    return _run_suite(argv)

@@ -6,7 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+
+from repro.analysis import cli
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
@@ -90,3 +93,81 @@ class TestCliSurface:
         proc = run_cli("does/not/exist.py", "--no-graph")
         assert proc.returncode != 0
         assert "no such path" in proc.stderr
+
+
+BASE_CLEAN = """
+    import json
+
+
+    def dump(payload):
+        return json.dumps(payload, sort_keys=True)
+"""
+
+MID = """
+    from pkg.base import dump
+
+
+    def describe(payload):
+        return dump(payload)
+"""
+
+TOP = """
+    from pkg.mid import describe
+
+
+    def report(payload):
+        return describe(payload)
+"""
+
+
+def _write_project(root: Path, base_src: str = BASE_CLEAN) -> Path:
+    pkg = root / "pkg"
+    pkg.mkdir(exist_ok=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "base.py").write_text(textwrap.dedent(base_src))
+    (pkg / "mid.py").write_text(textwrap.dedent(MID))
+    (pkg / "top.py").write_text(textwrap.dedent(TOP))
+    return pkg
+
+
+class TestCliFlags:
+    def _run(self, *args: str, cwd: Path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro.analysis", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=cwd,
+            timeout=120,
+        )
+
+    def test_no_effects_no_perf_skip_those_passes(self, tmp_path):
+        pkg = _write_project(tmp_path, base_src=BASE_CLEAN)
+        proc = self._run(
+            str(pkg), "--no-graph", "--no-effects", "--no-perf", cwd=tmp_path
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_stats_reports_per_pass_wall_time(self, capsys):
+        assert cli.main([str(FIXTURES / "bad_rng.py"), "--no-graph", "--stats"]) == 1
+        err = capsys.readouterr().err
+        for name in ("lint", "parse", "dataflow", "effects", "perf"):
+            assert f"pass {name} " in err
+        assert "total" in err
+
+
+class TestNoCache:
+    def test_runs_leave_the_working_directory_empty(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Findings are always computed fresh: neither entry point
+        writes a cache (or anything else) into the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["schedcheck", "--apps", "stentboost"]) == 0
+        assert cli.main([str(FIXTURES / "bad_rng.py"), "--no-graph"]) == 1
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []

@@ -151,13 +151,20 @@ class TestPredictorRoundTrips:
 
 class TestFormat:
     def test_version_checked(self, saved, tmp_path):
+        """A future version and a pre-identifier (v1) document are both
+        refused: the loader reads format 2 only."""
         _, path = saved
-        doc = json.loads(path.read_text())
-        doc["format_version"] = FORMAT_VERSION + 1
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
-            load_model(bad)
+        future = json.loads(path.read_text())
+        future["format_version"] = FORMAT_VERSION + 1
+        v1 = json.loads(path.read_text())
+        v1["format_version"] = 1
+        del v1["graph"]
+        del v1["platform"]
+        for doc in (future, v1):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(ValueError):
+                load_model(bad)
 
     def test_json_is_plain(self, saved):
         _, path = saved
@@ -181,26 +188,6 @@ class TestFormat:
         assert doc["format_version"] == FORMAT_VERSION
         assert doc["graph"] == GRAPH_NAME
         assert doc["platform"] == blackford().name
-
-    def test_v1_document_still_loads(self, saved, tmp_path):
-        """A pre-identifier (v1) document loads and predicts
-        identically to its v2 form."""
-        _, path = saved
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 1
-        del doc["graph"]
-        del doc["platform"]
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps(doc))
-        old = load_model(v1)
-        new = load_model(path)
-        old.start_sequence(initial_scenario=3)
-        new.start_sequence(initial_scenario=3)
-        for roi in (50.0, 150.0, 1048.0):
-            a, b = old.predict(roi), new.predict(roi)
-            assert a.scenario_id == b.scenario_id
-            assert a.frame_ms == b.frame_ms
-            assert a.task_ms == b.task_ms
 
     def test_graph_mismatch_rejected(self, saved, tmp_path):
         _, path = saved

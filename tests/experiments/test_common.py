@@ -45,25 +45,6 @@ class TestExperimentContext:
                 assert p.stat().st_mtime_ns == mtime  # untouched
             assert [r for r in rebuilt.records] == [r for r in full.records]
 
-    def test_legacy_monolith_migrated_to_shards(self, tmp_path):
-        spec = CorpusSpec(n_sequences=2, total_frames=20, base_seed=99)
-        with mock.patch.dict(os.environ, {"REPRO_CACHE_DIR": str(tmp_path)}):
-            ctx = ExperimentContext(corpus_spec=spec)
-            traces = ctx.traces
-            # Re-create the pre-shard layout: one monolithic file under
-            # the legacy key, no shards.
-            legacy = tmp_path / f"traces-{ctx._legacy_cache_key()}.json"
-            traces.save(legacy)
-            for p in (tmp_path / "trace-shards").glob("shard-*.json"):
-                p.unlink()
-            migrated = ExperimentContext(corpus_spec=spec).traces
-            assert len(migrated) == len(traces)
-            assert migrated.records == traces.records
-            # The migration split the monolith instead of re-profiling:
-            # both shard files exist now.
-            shards = list((tmp_path / "trace-shards").glob("shard-*.json"))
-            assert len(shards) == spec.n_sequences
-
     def test_cache_key_sensitive_to_spec(self, tmp_path):
         with mock.patch.dict(os.environ, {"REPRO_CACHE_DIR": str(tmp_path)}):
             a = ExperimentContext(
@@ -72,7 +53,11 @@ class TestExperimentContext:
             b = ExperimentContext(
                 corpus_spec=CorpusSpec(n_sequences=2, total_frames=20, base_seed=2)
             )
-            assert a._cache_key() != b._cache_key()
+            from repro.synthetic import corpus_configs
+
+            cfg_a = corpus_configs(a.corpus_spec)[0]
+            cfg_b = corpus_configs(b.corpus_spec)[0]
+            assert a._shard_key(0, cfg_a) != b._shard_key(0, cfg_b)
 
     def test_cache_key_sensitive_to_pipeline_tunables(self):
         spec = CorpusSpec(n_sequences=2, total_frames=20, base_seed=1)
@@ -83,7 +68,6 @@ class TestExperimentContext:
                 pipeline=PipelineConfig(max_candidates=8)
             ),
         )
-        assert a._cache_key() != b._cache_key()
         from repro.synthetic import corpus_configs
 
         cfg = corpus_configs(spec)[0]
