@@ -426,6 +426,8 @@ def partition_policy_comparison(
     """
     from repro.experiments.fig7 import fig7_sequence
 
+    # One sequence object: both policies replay its single image pass.
+    seq = fig7_sequence(n_frames=n_frames, seed=seed)
     results: dict[str, dict[str, float]] = {}
     for policy in ("robust", "most-likely"):
         model = ctx.fresh_model()
@@ -441,7 +443,6 @@ def partition_policy_comparison(
                 return preds
 
             model.plausible_predictions = only_most_likely  # type: ignore[method-assign]
-        seq = fig7_sequence(n_frames=n_frames, seed=seed)
         run = mgr.run_sequence(seq, make_pipeline(seq), seq_key=f"pol-{policy}")
         lat = run.latency()
         budget = run.budget_ms or 0.0

@@ -22,7 +22,7 @@ simulated computation time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Hashable, Protocol, runtime_checkable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -134,7 +134,9 @@ class AnalysisPipeline(Protocol):
     (plus ``extras["roi_kpixels"]``); ``roi`` exposes the region the
     *next* frame will be processed at (``None`` means full frame),
     which is the engine's planning-time granularity signal; ``quality``
-    is the optional QoS level slot the quality controller writes.
+    is the optional QoS level slot the quality controller writes;
+    ``replay_key`` names the pipeline's image pass for tape reuse
+    (``None`` when it must run live).
 
     :class:`StentBoostPipeline` is the reference implementation; the
     ``repro.workloads`` registry supplies one implementation per
@@ -147,6 +149,8 @@ class AnalysisPipeline(Protocol):
     def roi(self) -> Roi | None: ...
 
     def reset(self) -> None: ...
+
+    def replay_key(self) -> Hashable | None: ...
 
     def process(self, img: NDArray[np.float32]) -> FrameAnalysis: ...
 
@@ -196,6 +200,18 @@ class StentBoostPipeline:
         self._lost_frames = 0
         self._integrated_frames = 0
         self._frame_index = 0
+
+    def replay_key(self) -> Hashable | None:
+        """Tape-reuse key of this pipeline's image pass, while fresh.
+
+        Before its first frame and without a quality level, the
+        pipeline analyses a sequence as a pure function of its type and
+        config, so a tape recorded by an equal pipeline can stand in
+        for running it.  Otherwise ``None``: the engine runs it live.
+        """
+        if self._frame_index or self.quality is not None:
+            return None
+        return (type(self), self.config)
 
     # -- execution ----------------------------------------------------------
 

@@ -20,7 +20,7 @@ loops from growing back elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Hashable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -40,7 +40,13 @@ from repro.runtime.batchplan import (
 from repro.runtime.frametable import FrameLog, FrameTable
 from repro.runtime.partition import PartitionDecision, Partitioner
 from repro.runtime.qos import DelayLine, LatencyBudget
-from repro.runtime.tape import FrameTape, TapePipeline, TapeSequence, record_tape
+from repro.runtime.tape import (
+    FrameTape,
+    TapePipeline,
+    TapeSequence,
+    record_tape,
+    tape_for,
+)
 from repro.synthetic.sequence import XRaySequence
 from repro.util.effects import pure
 from repro.util.stats import JitterMetrics, jitter_metrics
@@ -115,7 +121,12 @@ class SchedulingPolicy(Protocol):
     def plan_frame(
         self, engine: "FrameEngine", pipeline: AnalysisPipeline, img
     ) -> FramePlan:
-        """Decide mapping/quality for the frame about to execute."""
+        """Decide mapping/quality for the frame about to execute.
+
+        On a tape replay ``pipeline`` is a
+        :class:`~repro.runtime.tape.TapePipeline` and ``img`` offers
+        only ``size``: an open-loop policy reads nothing else.
+        """
         ...
 
     def observe_frame(
@@ -271,20 +282,29 @@ class FrameEngine:
     ) -> RunResult:
         """Execute one sequence; returns the per-frame log.
 
-        With ``batched=True`` the engine records the image pass as a
-        :class:`~repro.runtime.tape.FrameTape` and advances the whole
-        sequence through the policy's vectorized batch steps --
-        bit-identical to the scalar loop, several times faster.  When
-        the configuration cannot be batched (observability on, DRAM
+        Under an open-loop policy (no ``quality_controller``, no
+        ``frame_setup`` hook) nothing a frame's plan decides reaches
+        the image pass, so a run with a fresh pipeline (see
+        :meth:`~repro.imaging.pipeline.AnalysisPipeline.replay_key`)
+        replays the sequence's memoized tape through :meth:`run_tape`
+        (:func:`~repro.runtime.tape.tape_for`).  The first such run
+        records the tape with ``pipeline``, consuming it as the live
+        loop would; later runs leave their ``pipeline`` unadvanced.
+        Every other run executes the live loop.  Results are the same
+        either way.
+
+        With ``batched=True`` a replay advances the whole sequence
+        through the policy's vectorized batch steps -- bit-identical
+        to the scalar loop, several times faster.  When the
+        configuration cannot be batched (observability on, DRAM
         contention, a policy without batch support, or a model the
         batch walk cannot reproduce exactly) the scalar loop runs
-        instead; results are the same either way.
+        instead.
         """
-        if batched and self._batch_supported():
-            tape = record_tape(
-                sequence, pipeline, getattr(self.policy, "frame_setup", None)
-            )
-            return self._run_batched(tape, seq_key, label)
+        key = self._replay_key(pipeline)
+        if key is not None:
+            tape = tape_for(sequence, pipeline, key)
+            return self.run_tape(tape, seq_key, label, batched=batched)
         budget = self.policy.begin_run(self)
         budget_ms = budget.require() if budget is not None else None
         delay = DelayLine(budget) if budget is not None else None
@@ -329,6 +349,15 @@ class FrameEngine:
                         )
         return result
 
+    def _replay_key(self, pipeline: AnalysisPipeline) -> Hashable | None:
+        """Tape-memo key of an open-loop run, ``None`` for a live one."""
+        policy = self.policy
+        if getattr(policy, "frame_setup", None) is not None:
+            return None
+        if getattr(policy, "quality_controller", None) is not None:
+            return None
+        return pipeline.replay_key()
+
     def _batch_supported(self) -> bool:
         """Whether the current configuration can run the batched path.
 
@@ -368,8 +397,8 @@ class FrameEngine:
             return self._run_batched(tape, seq_key, label)
         if getattr(self.policy, "frame_setup", None) is not None:
             raise ValueError(
-                "tape replay cannot re-run a frame_setup hook; the "
-                "recorded tape already embodies it (record_tape ran it)"
+                "tape replay cannot run a frame_setup hook; the hook "
+                "changes the image pass, which a tape fixes"
             )
         if getattr(self.policy, "quality_controller", None) is not None:
             raise ValueError(

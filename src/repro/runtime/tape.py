@@ -13,23 +13,36 @@ golden reference) or through the batched engine
 The planning-time ROI needs care: the scalar loop plans frame ``k``
 *before* processing it, so the policy sees the ROI tracker state left
 by frame ``k - 1``.  :func:`record_tape` reads the ROI at exactly
-that point (after the optional per-frame setup hook, before
-``process``), which is what makes replays reproduce the scalar run's
-plans byte for byte.
+that point (before ``process``), which is what makes replays
+reproduce the scalar run's plans byte for byte.
+
+A tape is also the unit of reuse: :func:`tape_for` holds one tape per
+``(sequence, pipeline replay key)`` for as long as the sequence
+object lives, so every open-loop policy run over one sequence shares
+a single image pass (see :meth:`FrameEngine.run
+<repro.runtime.engine.FrameEngine.run>`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Hashable, Iterator
 
 import numpy as np
 
+import repro.obs as obs
 from repro.hw.cost import ReportColumns
 from repro.imaging.pipeline import AnalysisPipeline, FrameAnalysis
 from repro.synthetic.sequence import XRaySequence
 
-__all__ = ["FrameTape", "TapeFrameColumns", "TapeTaskColumns", "record_tape"]
+__all__ = [
+    "FrameTape",
+    "TapeFrameColumns",
+    "TapeTaskColumns",
+    "record_tape",
+    "tape_for",
+]
 
 
 @dataclass(frozen=True)
@@ -155,28 +168,48 @@ class FrameTape:
         return cached
 
 
-def record_tape(
-    sequence: XRaySequence,
-    pipeline: AnalysisPipeline,
-    frame_setup: Callable[[AnalysisPipeline], None] | None = None,
-) -> FrameTape:
+def record_tape(sequence: XRaySequence, pipeline: AnalysisPipeline) -> FrameTape:
     """Run the image pass of ``sequence`` and record it as a tape.
 
-    ``frame_setup`` is the per-frame hook some policies install (e.g.
-    fig3's forced full-frame granularity); it runs before each frame's
-    ROI is read, exactly where the scalar loop would run it.  The
-    pipeline is consumed: its tracker state advances as in a live run.
+    The pipeline is consumed: its tracker state advances as in a live
+    run.
     """
     n = len(sequence)
     roi_px = np.empty(n, dtype=np.int64)
     analyses: list[FrameAnalysis] = []
     for k, (img, _truth) in enumerate(sequence.iter_frames()):
-        if frame_setup is not None:
-            frame_setup(pipeline)
         roi = pipeline.roi
         roi_px[k] = roi.pixels if roi is not None else img.size
         analyses.append(pipeline.process(img))
     return FrameTape(analyses=tuple(analyses), plan_roi_px=roi_px)
+
+
+#: sequence -> {pipeline replay key: tape}; an entry dies with its
+#: sequence object.
+_TAPES: weakref.WeakKeyDictionary[XRaySequence, dict[Hashable, FrameTape]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def tape_for(
+    sequence: XRaySequence, pipeline: AnalysisPipeline, key: Hashable
+) -> FrameTape:
+    """The tape of ``sequence`` under a pipeline with replay key ``key``.
+
+    The first call records it with :func:`record_tape`, consuming
+    ``pipeline`` as a live run would; later calls with an equal key
+    return the same tape and leave their ``pipeline`` untouched.
+    """
+    tapes = _TAPES.setdefault(sequence, {})
+    tape = tapes.get(key)
+    if tape is None:
+        o = obs.get_obs()
+        with o.tracer.span("engine.record_tape") as sp:
+            tape = record_tape(sequence, pipeline)
+            if o.enabled:
+                sp.set(frames=len(tape))
+        tapes[key] = tape
+    return tape
 
 
 class _TapeImage:
@@ -217,6 +250,10 @@ class TapePipeline:
 
     def reset(self) -> None:
         self._cursor = 0
+
+    def replay_key(self) -> None:
+        """Never memoized: a replay is already a tape."""
+        return None
 
     def process(self, img: object) -> FrameAnalysis:  # noqa: ARG002
         k = self._cursor

@@ -24,6 +24,8 @@ reproducible.
 
 from __future__ import annotations
 
+from typing import Hashable
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -300,6 +302,15 @@ class RobotVisionPipeline:
         self._raw_unlock_streak = 0
         self._lock_streak = 0
         self._frame_index = 0
+
+    def replay_key(self) -> Hashable | None:
+        """Tape-reuse key of this pipeline's image pass, while fresh.
+
+        See :meth:`repro.imaging.pipeline.StentBoostPipeline.replay_key`.
+        """
+        if self._frame_index or self.quality is not None:
+            return None
+        return (type(self), self.config)
 
     # -- internals ----------------------------------------------------------
 

@@ -23,6 +23,8 @@ Deterministic and RNG-free, like every registered pipeline.
 
 from __future__ import annotations
 
+from typing import Hashable
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -251,6 +253,15 @@ class UltrasoundPipeline:
         self._peak_ratio_mean = 0.0
         self._n_frames_seen = 0
         self._frame_index = 0
+
+    def replay_key(self) -> Hashable | None:
+        """Tape-reuse key of this pipeline's image pass, while fresh.
+
+        See :meth:`repro.imaging.pipeline.StentBoostPipeline.replay_key`.
+        """
+        if self._frame_index or self.quality is not None:
+            return None
+        return (type(self), self.config)
 
     @staticmethod
     def _central_sector(h: int, w: int) -> Roi:

@@ -72,6 +72,20 @@ class TestGraphFixtures:
         assert "graph/switch-coverage" in proc.stdout
 
     def test_stentboost_graph_alone_passes(self):
+        from repro.graph.stentboost import build_stentboost_graph
+
+        proc = run_cli(
+            "--no-lint", "--graph", "repro.graph.stentboost:build_stentboost_graph"
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        named = {
+            line.split(":", 1)[0].removeprefix("task ")
+            for line in proc.stdout.splitlines()
+            if line.startswith("task ")
+        }
+        assert named and named <= set(build_stentboost_graph().tasks)
+
+    def test_registered_workload_graphs_pass(self):
         proc = run_cli("--no-lint")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
