@@ -10,8 +10,7 @@ Layered on the dataflow symbol table (:mod:`repro.analysis.dataflow`):
   pool-seam race detector.
 * :mod:`~repro.analysis.effects.contracts` -- ``@pure`` /
   ``@effects(...)`` declared-vs-inferred checking.
-* :mod:`~repro.analysis.effects.perf` -- frame-loop perf smells
-  feeding the batched-engine roadmap item.
+* :mod:`~repro.analysis.effects.perf` -- frame-loop perf smells.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Perf-smell rules for the frame-loop hot paths.
 
-The ROADMAP's batched-engine item needs today's hot paths to be
-batch-shaped; these rules flag the three smells that block it:
+These rules flag the smells that slow the per-frame hot paths:
 
 ``perf/scalar-predict-in-loop`` (warning)
     A loop calls ``x.predict(...)`` per element on a loop-invariant
@@ -24,7 +23,7 @@ batch-shaped; these rules flag the three smells that block it:
     once outside.
 ``perf/frame-object-churn`` (warning)
     A loop appends a freshly constructed project dataclass to a plain
-    list -- one record object per frame.  The batched layers keep
+    list -- one record object per frame.  The engine and profiler keep
     per-frame state in preallocated structured rows
     (:class:`repro.runtime.frametable.FrameTable`,
     ``TraceSet.add_frame``); building an object per frame resurrects

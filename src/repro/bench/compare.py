@@ -38,32 +38,29 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.bench.harness import SCHEMAS
+from repro.bench.harness import SCHEMA
 
 __all__ = ["RATIO_METRICS", "BOOL_METRICS", "compare_docs", "main"]
 
 #: Within-run ratios: machine-independent, gated with tolerance.
-#: ``engine_batch_speedup`` exists from schema v2 on,
-#: ``fleet_p99_wait_gain`` (FCFS p99 wait over prediction-aware p99
-#: wait in the fleet simulator) from v3 and ``replay_p99_wait_gain``
-#: (the same ratio on the replayed workload-trace corpus) from v4;
-#: against an older baseline a missing ratio is skipped, not failed.
+#: ``fleet_p99_wait_gain`` is FCFS p99 wait over prediction-aware p99
+#: wait in the fleet simulator, ``replay_p99_wait_gain`` the same
+#: ratio on the replayed workload-trace corpus.  A ratio missing from
+#: the baseline is skipped, not failed.
 RATIO_METRICS: tuple[str, ...] = (
     "parallel_speedup",
     "predict_batch_speedup",
-    "engine_batch_speedup",
     "fleet_p99_wait_gain",
     "replay_p99_wait_gain",
 )
 
 #: Correctness booleans: a true -> false transition always fails.
 #: ``fleet_deterministic`` asserts two same-seed fleet simulations
-#: produced identical SLO summaries (schema v3 on);
-#: ``replay_deterministic`` asserts the workload-trace conversion and
-#: its fleet replay are seed-stable end to end (schema v4 on).
+#: produced identical SLO summaries; ``replay_deterministic`` asserts
+#: the workload-trace conversion and its fleet replay are seed-stable
+#: end to end.
 BOOL_METRICS: tuple[str, ...] = (
     "byte_identical",
-    "engine_byte_identical",
     "fleet_deterministic",
     "replay_deterministic",
 )
@@ -74,10 +71,8 @@ def _load(path: Path) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a JSON object")
     schema = doc.get("schema")
-    if schema not in SCHEMAS:
-        raise ValueError(
-            f"{path}: schema {schema!r}, expected one of {SCHEMAS!r}"
-        )
+    if schema != SCHEMA:
+        raise ValueError(f"{path}: schema {schema!r}, expected {SCHEMA!r}")
     results = doc.get("results")
     if not isinstance(results, dict):
         raise ValueError(f"{path}: missing 'results' object")

@@ -24,23 +24,15 @@ from repro.parallel import available_cpus, resolve_jobs
 from repro.profiling import ProfileConfig, TraceSet, profile_corpus
 from repro.synthetic import CorpusSpec, generate_corpus
 
-__all__ = ["SCHEMA", "SCHEMAS", "machine_info", "run_bench"]
+__all__ = ["SCHEMA", "machine_info", "run_bench"]
 
-#: Schema identifier written into every BENCH JSON document.
-SCHEMA = "repro-bench/4"
-
-#: Schemas ``repro.bench.compare`` accepts (older documents lack the
-#: engine stage, jobs matrix, fleet stage or trace-replay stage;
-#: compare skips what is absent).
-SCHEMAS = ("repro-bench/1", "repro-bench/2", "repro-bench/3", SCHEMA)
+#: Schema identifier written into every BENCH JSON document; the
+#: only one ``repro.bench.compare`` accepts.
+SCHEMA = "repro-bench/5"
 
 #: Corpus sizes: (n_sequences, total_frames).
 _SMOKE_CORPUS = (2, 60)
 _FULL_CORPUS = (8, 400)
-
-#: Engine-stage sequence lengths (frames of the Fig. 7 sequence).
-_SMOKE_ENGINE_FRAMES = 120
-_FULL_ENGINE_FRAMES = 300
 
 #: Fleet-stage trace sizes (jobs in the synthetic burst trace).
 _SMOKE_FLEET_JOBS = 1000
@@ -177,52 +169,6 @@ def _bench_prediction(traces: TraceSet) -> dict[str, Any]:
         "predict_scalar_fps": n / scalar_s if scalar_s > 0 else 0.0,
         "predict_batch_fps": n / batch_s if batch_s > 0 else 0.0,
         "predict_batch_speedup": scalar_s / batch_s if batch_s > 0 else 0.0,
-    }
-
-
-def _bench_engine(smoke: bool) -> dict[str, Any]:
-    """Scalar loop vs. batched walk over one recorded tape.
-
-    Both runs execute the same tape on fresh simulators; the batched
-    path is an optimization only, so beyond the fps ratio the stage
-    also records whether the two frame tables serialized identically
-    (the cheap in-process cousin of the batch parity suite).
-    """
-    from repro.experiments.common import make_pipeline
-    from repro.experiments.fig7 import fig7_sequence
-    from repro.runtime import FrameEngine, StaticSerialPolicy, record_tape
-    from repro.runtime.frametable import FRAME_DTYPE
-
-    n_frames = _SMOKE_ENGINE_FRAMES if smoke else _FULL_ENGINE_FRAMES
-    seq = fig7_sequence(n_frames=n_frames)
-    config = ProfileConfig()
-    tape = record_tape(seq, make_pipeline(seq))
-
-    scalar_s, scalar = _timed_best(
-        lambda: FrameEngine(
-            config.make_simulator(), StaticSerialPolicy()
-        ).run_tape(tape, batched=False),
-        repeats=3,
-    )
-    batched_s, batched = _timed_best(
-        lambda: FrameEngine(
-            config.make_simulator(), StaticSerialPolicy()
-        ).run_tape(tape, batched=True),
-        repeats=3,
-    )
-    identical = all(
-        np.array_equal(
-            batched.table.column(name), scalar.table.column(name)
-        )
-        for name in FRAME_DTYPE.names
-    )
-    n = float(n_frames)
-    return {
-        "engine_frames": n_frames,
-        "engine_scalar_fps": n / scalar_s if scalar_s > 0 else 0.0,
-        "engine_batched_fps": n / batched_s if batched_s > 0 else 0.0,
-        "engine_batch_speedup": scalar_s / batched_s if batched_s > 0 else 0.0,
-        "engine_byte_identical": identical,
     }
 
 
@@ -397,7 +343,6 @@ def run_bench(
     model_results, _model = _bench_model(traces)
     results.update(model_results)
     results.update(_bench_prediction(traces))
-    results.update(_bench_engine(smoke))
     results.update(_bench_fleet(smoke))
     results.update(_bench_replay(smoke))
     if jobs_matrix:
@@ -434,11 +379,6 @@ def _format_summary(doc: dict[str, Any]) -> str:
         f"  predict: scalar {r['predict_scalar_fps']:.0f} fps, "
         f"batch {r['predict_batch_fps']:.0f} fps "
         f"(x{r['predict_batch_speedup']:.1f}, task {r['predict_task']})",
-        f"  engine:  scalar {r['engine_scalar_fps']:.0f} fps, "
-        f"batched {r['engine_batched_fps']:.0f} fps "
-        f"(x{r['engine_batch_speedup']:.1f}, "
-        f"byte-identical={r['engine_byte_identical']}, "
-        f"{r['engine_frames']} frames)",
         f"  fleet:   {r['fleet_jobs']} jobs in {r['fleet_sim_s']:.2f}s "
         f"(p99 gain x{r['fleet_p99_wait_gain']:.2f}, "
         f"deterministic={r['fleet_deterministic']})",

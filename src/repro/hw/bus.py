@@ -10,7 +10,6 @@ average prediction accuracy [...] of 90 %".
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Sequence
 
 import repro.obs as obs
 from repro.util.units import HZ_VIDEO, MB
@@ -42,32 +41,9 @@ class BandwidthLedger:
                 float(nbytes)
             )
 
-    def record_many(self, link: str, values: "Sequence[float]") -> None:
-        """Fold a sequence of records exactly as per-call :meth:`record`.
-
-        The accumulator is built with one left-fold add per value --
-        the same float-operation order as N separate ``record`` calls
-        -- so a batched caller (the vectorized frame fold) leaves the
-        ledger bit-identical to the scalar loop's.
-        """
-        total = self._bytes[link]
-        added = 0.0
-        for v in values:
-            if v < 0:
-                raise ValueError("negative traffic")
-            total += v
-            added += v
-        self._bytes[link] = float(total)
-        o = obs.get_obs()
-        if o.enabled:
-            o.metrics.counter("bus_traffic_bytes_total", link=link).inc(added)
-
-    def frame_done(self, n: int = 1) -> None:
-        """Mark the end of ``n`` frames (denominator of per-frame
-        rates); batched folds pass their whole frame count at once."""
-        if n < 0:
-            raise ValueError("negative frame count")
-        self._frames += int(n)
+    def frame_done(self) -> None:
+        """Mark the end of one frame (denominator of per-frame rates)."""
+        self._frames += 1
 
     @property
     def frames(self) -> int:

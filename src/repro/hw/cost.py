@@ -27,24 +27,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import Mapping
 
 import repro.obs as obs
 from repro.hw.cache import CacheUsage, analyze_report
 from repro.hw.spec import PlatformSpec
 from repro.imaging.common import WorkReport
 from repro.util.quantity import Kpixels, Milliseconds
-from repro.util.rng import rng_stream, rng_stream_many
+from repro.util.rng import rng_stream
 from repro.util.units import MS_PER_S, PX_PER_KPX
 
 __all__ = [
     "TaskCostSpec",
     "CostBreakdown",
-    "BatchCost",
-    "ReportColumns",
     "CostModel",
     "DEFAULT_TASK_COSTS",
 ]
@@ -156,103 +151,6 @@ class CostBreakdown:
     def noise_free_ms(self) -> Milliseconds:
         """Deterministic part (what an oracle predictor could know)."""
         return self.base_ms + self.content_ms + self.cache_stall_ms
-
-
-@dataclass(frozen=True)
-class BatchCost:
-    """Columnar cost of many executions of one task.
-
-    Field-for-field the same quantities as :class:`CostBreakdown`,
-    one array cell per execution, computed with the identical float
-    operation order so ``total_ms[i]`` is bit-equal to the scalar
-    ``time_ms`` result for execution ``i``.
-    """
-
-    task: str
-    base_ms: NDArray[np.float64]
-    content_ms: NDArray[np.float64]
-    cache_stall_ms: NDArray[np.float64]
-    jitter_ms: NDArray[np.float64]
-    total_ms: NDArray[np.float64]
-    eviction_bytes: NDArray[np.int64]
-    external_bytes: NDArray[np.int64]
-
-
-class ReportColumns:
-    """Raw per-execution numbers of many reports, extracted once.
-
-    :meth:`CostModel.time_ms_many` re-derives the same values from the
-    report objects when no columns are given; corpus containers (e.g.
-    :class:`~repro.runtime.tape.FrameTape`) extract them once and
-    reuse them across runs, which keeps the python-object walk out of
-    the batched engine's measured path.  All cells carry the *python*
-    value the scalar accessors return (``float64`` of ints well below
-    2**53), so downstream arithmetic is bit-equal either way.
-    """
-
-    __slots__ = (
-        "pixels",
-        "bytes_in",
-        "bytes_out",
-        "io_bytes",
-        "buffer_bytes",
-        "_reports",
-        "_counts",
-        "_touched",
-    )
-
-    def __init__(self, reports: Sequence[WorkReport]) -> None:
-        n = len(reports)
-        self.pixels = np.fromiter(
-            (r.pixels for r in reports), dtype=np.float64, count=n
-        )
-        self.bytes_in = np.fromiter(
-            (r.bytes_in for r in reports), dtype=np.float64, count=n
-        )
-        self.bytes_out = np.fromiter(
-            (r.bytes_out for r in reports), dtype=np.float64, count=n
-        )
-        # int + int is exact, and so is float64(a) + float64(b) for
-        # byte counts far below 2**53: same cells either way.
-        self.io_bytes = self.bytes_in + self.bytes_out
-        self.buffer_bytes = np.fromiter(
-            (r.total_buffer_bytes() for r in reports),
-            dtype=np.float64,
-            count=n,
-        )
-        self._reports = tuple(reports)
-        self._counts: dict[str, NDArray[np.float64]] = {}
-        self._touched: NDArray[np.float64] | None = None
-
-    def __len__(self) -> int:
-        return len(self._reports)
-
-    def count(self, name: str) -> NDArray[np.float64]:
-        """Column of ``report.count(name)`` (memoized)."""
-        col = self._counts.get(name)
-        if col is None:
-            reports = self._reports
-            col = np.fromiter(
-                (r.count(name) for r in reports),
-                dtype=np.float64,
-                count=len(reports),
-            )
-            self._counts[name] = col
-        return col
-
-    def touched_bytes(self) -> NDArray[np.float64]:
-        """Column of per-pass buffer traffic (memoized; only needed
-        for executions whose working set overflows the L2)."""
-        col = self._touched
-        if col is None:
-            reports = self._reports
-            col = np.fromiter(
-                (sum(b.nbytes * b.passes for b in r.buffers) for r in reports),
-                dtype=np.float64,
-                count=len(reports),
-            )
-            self._touched = col
-        return col
 
 
 class CostModel:
@@ -374,123 +272,4 @@ class CostModel:
             cache_stall_ms=stall_ms,
             jitter_ms=jitter_ms,
             cache=cache,
-        )
-
-    def time_ms_many(
-        self,
-        task: str,
-        reports: Sequence[WorkReport],
-        frame_keys: Sequence[tuple[object, ...]],
-        with_jitter: bool = True,
-        columns: ReportColumns | None = None,
-    ) -> BatchCost:
-        """Columnar :meth:`time_ms` over many executions of one task.
-
-        Every scalar formula is evaluated as the identical sequence of
-        elementwise float operations (and the jitter draws come from
-        ``rng_stream_many``, whose generators are draw-for-draw equal
-        to per-key ``rng_stream``), so ``total_ms[i]`` is bit-equal to
-        ``time_ms(reports[i], frame_keys[i]).total_ms``.  This is the
-        hot path of the batched frame engine: it replaces one
-        stream-seeding + breakdown allocation per (task, frame) with
-        a handful of numpy passes per task.
-
-        ``columns`` optionally supplies the reports' raw numbers as a
-        pre-extracted :class:`ReportColumns` (corpus containers cache
-        one per task), skipping the per-call python walk over the
-        report objects.
-        """
-        try:
-            spec = self.task_costs[task]
-        except KeyError as exc:
-            raise KeyError(
-                f"no cost spec for task {task!r}; known: "
-                f"{sorted(self.task_costs)}"
-            ) from exc
-        n = len(reports)
-        if len(frame_keys) != n:
-            raise ValueError("reports and frame_keys must match in length")
-        if n == 0:
-            empty_f = np.empty(0, dtype=np.float64)
-            empty_i = np.empty(0, dtype=np.int64)
-            return BatchCost(task, empty_f, empty_f, empty_f, empty_f,
-                             empty_f, empty_i, empty_i)
-        if columns is None:
-            columns = ReportColumns(reports)
-        elif len(columns) != n:
-            raise ValueError("columns must match reports in length")
-
-        scale = self.pixel_scale
-        base = spec.fixed_ms + spec.per_kpixel_ms * (
-            columns.pixels * scale / PX_PER_KPX
-        )
-
-        content = np.zeros(n, dtype=np.float64)
-        for cname, unit_ms in spec.per_count_ms.items():
-            vals = columns.count(cname)
-            mode = COUNT_SCALING.get(cname, "none")
-            if mode == "area":
-                vals = vals * scale
-            elif mode == "linear":
-                vals = vals * math.sqrt(scale)
-            content += unit_ms * vals
-
-        # Vectorized analyze_report (the streaming re-fetch model).
-        capacity = self.platform.l2.capacity_bytes
-        ws = np.rint(columns.buffer_bytes * scale).astype(np.int64)
-        compulsory = np.rint(columns.io_bytes * scale).astype(np.int64)
-        overflowing = (ws > capacity) & (ws != 0)
-        eviction = np.zeros(n, dtype=np.int64)
-        if bool(overflowing.any()):
-            touched = columns.touched_bytes() * scale
-            lost_fraction = np.zeros(n, dtype=np.float64)
-            np.divide(
-                (ws - capacity).astype(np.float64),
-                ws.astype(np.float64),
-                out=lost_fraction,
-                where=overflowing,
-            )
-            eviction = np.where(
-                overflowing,
-                np.rint(lost_fraction * touched).astype(np.int64),
-                0,
-            )
-        stall = eviction.astype(np.float64) / self.platform.dram_stream_bw * MS_PER_S
-
-        noise_free = (base + content) + stall
-        jitter = np.zeros(n, dtype=np.float64)
-        if with_jitter:
-            gens = rng_stream_many(self.seed, ("jitter", task), frame_keys)
-            factors = np.empty(n, dtype=np.float64)
-            sigma = self.jitter_sigma
-            spike_prob = self.spike_prob
-            lo, hi = self.spike_range
-            n_spiked = 0
-            for i, rng in enumerate(gens):
-                factor = math.exp(rng.normal(0.0, sigma))
-                if rng.random() < spike_prob:
-                    factor *= rng.uniform(lo, hi)
-                    n_spiked += 1
-                factors[i] = factor
-            jitter = noise_free * (factors - 1.0)
-            o = obs.get_obs()
-            if o.enabled:
-                o.metrics.counter("cost_jitter_draw_total").inc(float(n))
-                if n_spiked:
-                    o.metrics.counter("cost_jitter_spike_total").inc(
-                        float(n_spiked)
-                    )
-                o.metrics.histogram("cost_jitter_ms", task=task).observe_many(
-                    jitter
-                )
-
-        return BatchCost(
-            task=task,
-            base_ms=base,
-            content_ms=content,
-            cache_stall_ms=stall,
-            jitter_ms=jitter,
-            total_ms=noise_free + jitter,
-            eviction_bytes=eviction,
-            external_bytes=compulsory + eviction,
         )

@@ -260,111 +260,14 @@ class PlatformSimulator:
             )
         return results
 
-    def simulate_costed_frame(
-        self,
-        reports: TMapping[str, WorkReport],
-        mapping: Mapping,
-        costs: TMapping[str, tuple[float, int, int]],
-        start_ms: float = 0.0,
-    ) -> FrameResult:
-        """Simulate one frame whose task costs are already priced.
+    def simulate_costed_frame(self, *args: object, **kwargs: object) -> FrameResult:
+        """Placeholder: every frame is priced by :meth:`simulate_frame`.
 
-        The batched engine prices every execution up front with the
-        columnar cost path (``CostModel.time_ms_many``) and hands each
-        frame's ``task -> (compute_ms, eviction_bytes, external_bytes)``
-        here; the scheduling arithmetic, ledger records and totals are
-        those of :meth:`simulate_frame`, without re-deriving costs or
-        building per-task :class:`TaskTiming` records
-        (``perf/frame-object-churn``).
-
-        Mapping-independent costs are a precondition: DRAM-contention
-        mode stretches compute times by the schedule itself, so it
-        cannot be priced ahead and this method refuses it.
+        The name stays only because the traced benchmark run
+        (``perfbench/layers.py``) wraps it by ``vars(cls)[name]``;
+        nothing calls it.  It goes with that wrap.
         """
-        if self.dram_contention:
-            raise ValueError(
-                "pre-priced frames cannot model DRAM contention; "
-                "use simulate_frame"
-            )
-        max_core = mapping.max_core()
-        if max_core >= self.platform.n_cores:
-            raise ValueError(
-                f"mapping uses core {max_core} but platform has "
-                f"{self.platform.n_cores} cores"
-            )
-        scale = self.cost_model.pixel_scale
-        l2_bus_bw = self.platform.l2_bus_bw
-        record = self.ledger.record
-        core_free = [start_ms] * self.platform.n_cores
-
-        task_ms: dict[str, float] = {}
-        eviction_total = 0
-        external_total = 0
-        prev_end = start_ms
-        prev_core: int | None = None
-        prev_out_bytes = 0.0
-
-        for name, report in reports.items():
-            cores = mapping.cores_for(name)
-            n_parts = len(cores)
-            self._validate_partition(name, n_parts)
-
-            compute_ms, eviction_bytes, external_bytes = costs[name]
-            eviction_total += eviction_bytes
-            external_total += external_bytes
-            record("dram", external_bytes)
-
-            comm_ms = 0.0
-            if prev_core is not None and prev_out_bytes > 0:
-                comm_ms, link = self._comm_time_ms(
-                    prev_out_bytes, prev_core, cores[0]
-                )
-                record(link, prev_out_bytes)
-            task_ms[name] = compute_ms
-
-            if n_parts == 1:
-                core = cores[0]
-                begin = max(prev_end + comm_ms, core_free[core])
-                end = begin + compute_ms
-                core_free[core] = end
-            else:
-                halo_bytes = (
-                    report.bytes_in * scale * self.halo_fraction * (n_parts - 1)
-                )
-                record("bus", halo_bytes)
-                halo_ms = halo_bytes / l2_bus_bw * MS_PER_S
-                slice_ms = compute_ms / n_parts + halo_ms
-                fork_done = (
-                    max(prev_end + comm_ms, core_free[cores[0]]) + self.fork_ms
-                )
-                # Every slice ends at or after fork_done, so the
-                # incremental max equals max(slice_ends).
-                last_slice = fork_done
-                for core in cores:
-                    b = max(fork_done, core_free[core])
-                    e = b + slice_ms
-                    core_free[core] = e
-                    if e > last_slice:
-                        last_slice = e
-                end = last_slice + self.join_ms
-                core_free[cores[0]] = max(core_free[cores[0]], end)
-
-            prev_end = end
-            prev_core = cores[0]
-            prev_out_bytes = report.bytes_out * scale
-
-        self.ledger.frame_done()
-        o = obs.get_obs()
-        if o.enabled:
-            o.metrics.counter("hw_eviction_bytes_total").inc(float(eviction_total))
-            o.metrics.counter("hw_external_bytes_total").inc(float(external_total))
-        return FrameResult(
-            latency_ms=prev_end - start_ms,
-            timings=[],
-            task_ms=task_ms,
-            eviction_bytes=eviction_total,
-            external_bytes=external_total,
-        )
+        raise NotImplementedError("use simulate_frame")
 
     def _schedule_chain(
         self,

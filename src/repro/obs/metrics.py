@@ -128,25 +128,6 @@ class Histogram:
         self.sum += v
         self.count += 1
 
-    def observe_many(self, values: Sequence[float]) -> None:
-        """Observe a batch of values (one bucket walk per value).
-
-        Equivalent to observing each value in turn; the batched
-        engine/cost paths use this to keep telemetry totals identical
-        to the scalar loop without a per-value instrument call.
-        """
-        bounds = self.bounds
-        counts = self.counts
-        total = self.sum
-        n = 0
-        for value in values:
-            v = float(value)
-            counts[bisect_left(bounds, v)] += 1
-            total += v
-            n += 1
-        self.sum = total
-        self.count += n
-
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
@@ -332,9 +313,6 @@ class _NullHistogram(Histogram):
     __slots__ = ()
 
     def observe(self, value: float) -> None:
-        return None
-
-    def observe_many(self, values: Sequence[float]) -> None:
         return None
 
 

@@ -33,7 +33,6 @@ def run_straightforward(
     pipeline: AnalysisPipeline,
     simulator: PlatformSimulator,
     seq_key: object = 0,
-    batched: bool = False,
 ) -> RunResult:
     """Static serial mapping, no QoS: latency = content.
 
@@ -41,7 +40,7 @@ def run_straightforward(
     latency "can vary between 60 and 120 ms" (Section 7).
     """
     engine = FrameEngine(simulator, StaticSerialPolicy())
-    return engine.run(sequence, pipeline, seq_key=seq_key, batched=batched)
+    return engine.run(sequence, pipeline, seq_key=seq_key)
 
 
 def run_worst_case(
@@ -50,7 +49,6 @@ def run_worst_case(
     simulator: PlatformSimulator,
     worst_case_ms: float,
     seq_key: object = 0,
-    batched: bool = False,
 ) -> RunResult:
     """Worst-case reservation: serial execution + pad to worst case.
 
@@ -60,4 +58,4 @@ def run_worst_case(
     out before introducing the prediction-driven alternative.
     """
     engine = FrameEngine(simulator, WorstCaseReservationPolicy(worst_case_ms))
-    return engine.run(sequence, pipeline, seq_key=seq_key, batched=batched)
+    return engine.run(sequence, pipeline, seq_key=seq_key)

@@ -29,14 +29,6 @@ from repro.core.triplec import TripleC, TripleCPrediction
 from repro.hw.mapping import Mapping
 from repro.hw.simulator import FrameResult, PlatformSimulator
 from repro.imaging.pipeline import AnalysisPipeline, FrameAnalysis
-from repro.runtime.batchplan import (
-    BatchCosts,
-    BatchPlans,
-    collect_batch_costs,
-    model_batchable,
-    replay_observes,
-    walk_scenario_predictions,
-)
 from repro.runtime.frametable import FrameLog, FrameTable
 from repro.runtime.partition import PartitionDecision, Partitioner
 from repro.runtime.qos import DelayLine, LatencyBudget
@@ -278,7 +270,6 @@ class FrameEngine:
         pipeline: AnalysisPipeline,
         seq_key: object = 0,
         label: str | None = None,
-        batched: bool = False,
     ) -> RunResult:
         """Execute one sequence; returns the per-frame log.
 
@@ -291,20 +282,12 @@ class FrameEngine:
         records the tape with ``pipeline``, consuming it as the live
         loop would; later runs leave their ``pipeline`` unadvanced.
         Every other run executes the live loop.  Results are the same
-        either way.
-
-        With ``batched=True`` a replay advances the whole sequence
-        through the policy's vectorized batch steps -- bit-identical
-        to the scalar loop, several times faster.  When the
-        configuration cannot be batched (observability on, DRAM
-        contention, a policy without batch support, or a model the
-        batch walk cannot reproduce exactly) the scalar loop runs
-        instead.
+        either way: a replay is this same loop over the tape.
         """
         key = self._replay_key(pipeline)
         if key is not None:
             tape = tape_for(sequence, pipeline, key)
-            return self.run_tape(tape, seq_key, label, batched=batched)
+            return self.run_tape(tape, seq_key, label)
         budget = self.policy.begin_run(self)
         budget_ms = budget.require() if budget is not None else None
         delay = DelayLine(budget) if budget is not None else None
@@ -358,43 +341,20 @@ class FrameEngine:
             return None
         return pipeline.replay_key()
 
-    def _batch_supported(self) -> bool:
-        """Whether the current configuration can run the batched path.
-
-        Observability stays scalar: the per-frame spans and counters
-        are emitted *by* the loop, and the batch walk has no
-        equivalent events to offer.
-        """
-        if obs.get_obs().enabled:
-            return False
-        if self.simulator.dram_contention:
-            return False
-        policy = self.policy
-        supports = getattr(policy, "supports_batch", None)
-        if supports is None:
-            return False
-        if not hasattr(policy, "plan_frames"):
-            return False
-        if not hasattr(policy, "observe_frames"):
-            return False
-        return bool(supports())
-
     def run_tape(
         self,
         tape: FrameTape,
         seq_key: object = 0,
         label: str | None = None,
-        batched: bool = True,
     ) -> RunResult:
         """Execute a recorded tape (see :func:`record_tape`).
 
-        ``batched=True`` takes the vectorized path when supported and
-        falls back to replaying the tape through the scalar loop via
-        the tape shims; ``batched=False`` forces the scalar replay
-        (the golden reference the parity suite compares against).
+        The tape runs through :meth:`run`'s per-frame loop, with
+        :class:`~repro.runtime.tape.TapeSequence` and
+        :class:`~repro.runtime.tape.TapePipeline` standing in for the
+        sequence and the pipeline.  Closed-loop policies are refused:
+        their decisions change the image pass a tape fixes.
         """
-        if batched and self._batch_supported():
-            return self._run_batched(tape, seq_key, label)
         if getattr(self.policy, "frame_setup", None) is not None:
             raise ValueError(
                 "tape replay cannot run a frame_setup hook; the hook "
@@ -409,200 +369,14 @@ class FrameEngine:
             TapeSequence(tape), TapePipeline(tape), seq_key=seq_key, label=label
         )
 
-    def _run_batched(
-        self, tape: FrameTape, seq_key: object, label: str | None
-    ) -> RunResult:
-        """The vectorized loop body: price, plan, fold, observe.
+    def _run_batched(self, *args: object, **kwargs: object) -> RunResult:
+        """Placeholder: the engine has one loop, :meth:`run`.
 
-        Executes the same four stages as the scalar loop, each over
-        the whole tape: costs come from the columnar cost path, plans
-        from the policy's ``plan_frames``, the per-frame fold applies
-        the scheduling arithmetic and writes the frame table, and
-        ``observe_frames`` replays the model feedback.  Every float
-        matches the scalar loop bit for bit (pinned by the batch
-        parity suite).
+        The name stays only because the traced benchmark run
+        (``perfbench/layers.py``) wraps it by ``vars(cls)[name]``;
+        nothing calls it.  It goes with that wrap.
         """
-        policy = self.policy
-        budget = policy.begin_run(self)
-        budget_ms = budget.require() if budget is not None else None
-        delay = DelayLine(budget) if budget is not None else None
-        run_label = policy.label if label is None else label
-        n = len(tape)
-        table = FrameTable(capacity=n)
-        result = RunResult(budget_ms=budget_ms, label=run_label, table=table)
-
-        costs = collect_batch_costs(self.simulator.cost_model, tape, seq_key)
-        plans: BatchPlans = policy.plan_frames(self, tape, costs)
-
-        simulator = self.simulator
-        n_cores = simulator.platform.n_cores
-        fold_serial = True
-        for m in plans.mappings:
-            if m.assignments or m.default_core >= n_cores:
-                fold_serial = False
-                break
-        if fold_serial:
-            task_ms_frames = self._fold_serial_frames(
-                tape, costs, plans, delay, table
-            )
-            policy.observe_frames(self, tape, plans, task_ms_frames)
-            return result
-
-        analyses = tape.analyses
-        by_task = costs.by_task
-        cursors = dict.fromkeys(by_task, 0)
-        mappings = plans.mappings
-        cores_used = plans.cores_used
-        predicted_scenario = plans.predicted_scenario
-        has_prediction = plans.has_prediction
-        predicted_ms = plans.predicted_ms
-        parts = plans.parts
-        predicted_task_ms = plans.predicted_task_ms
-        add_frame = table.add_frame
-        task_ms_frames: list[dict[str, float]] = []
-        for k in range(n):
-            analysis = analyses[k]
-            reports = analysis.reports
-            frame_costs = {}
-            for name in reports:
-                j = cursors[name]
-                cursors[name] = j + 1
-                bc = by_task[name]
-                frame_costs[name] = (
-                    bc.total_ms[j],
-                    int(bc.eviction_bytes[j]),
-                    int(bc.external_bytes[j]),
-                )
-            frame_res = simulator.simulate_costed_frame(
-                reports, mappings[k], frame_costs
-            )
-            latency = frame_res.latency_ms
-            out_ms = delay.push(latency) if delay is not None else latency
-            p_ms = predicted_ms[k]
-            add_frame(
-                index=analysis.index,
-                predicted_scenario=(
-                    int(predicted_scenario[k])
-                    if has_prediction[k]
-                    else analysis.scenario_id
-                ),
-                actual_scenario=analysis.scenario_id,
-                predicted_ms=(latency if np.isnan(p_ms) else p_ms),
-                serial_ms=float(sum(frame_res.task_ms.values())),
-                latency_ms=latency,
-                output_ms=out_ms,
-                cores_used=int(cores_used[k]),
-                parts=parts[k],
-                task_ms=frame_res.task_ms,
-                predicted_task_ms=predicted_task_ms[k],
-            )
-            task_ms_frames.append(frame_res.task_ms)
-        policy.observe_frames(self, tape, plans, task_ms_frames)
-        return result
-
-    def _fold_serial_frames(
-        self,
-        tape: FrameTape,
-        costs: BatchCosts,
-        plans: BatchPlans,
-        delay: DelayLine | None,
-        table: FrameTable,
-    ) -> list[dict[str, float]]:
-        """Vectorized scheduling fold for all-serial plans.
-
-        On one core the frame latency is the left-fold sum of the
-        chain's compute times (communication between same-core tasks
-        is free), so the whole tape folds as ``depth`` column adds
-        over a position-major compute matrix -- the identical float
-        additions, frame-parallel.  Ledger traffic folds through
-        :meth:`~repro.hw.bus.BandwidthLedger.record_many` in the
-        scalar call order; bit-exactness of all of it is pinned by the
-        batch parity suite.  Returns the per-frame measured-time dicts
-        for ``observe_frames``.
-        """
-        simulator = self.simulator
-        scale = simulator.cost_model.pixel_scale
-        cols = tape.cost_columns()
-        meta = tape.frame_columns()
-        n = len(tape)
-        n_tasks = meta.n_tasks
-        depth = int(n_tasks.max()) if n else 0
-
-        # Row p of the matrices holds each frame's p-th chain link
-        # (0.0 where the chain is shorter).
-        compute = np.zeros((depth, n))
-        out_bytes = np.zeros((depth, n))
-        by_task = costs.by_task
-        external_total = 0
-        for name, bc in by_task.items():
-            tc = cols[name]
-            compute[tc.positions, tc.frames] = bc.total_ms
-            out_bytes[tc.positions, tc.frames] = tc.columns.bytes_out * scale
-            external_total += int(bc.external_bytes.sum())
-
-        latency = np.zeros(n)
-        for p in range(depth):
-            latency += compute[p]
-
-        # Ledger: DRAM totals are integer-exact in any order; the l2
-        # records (producer output of every non-final chain link, in
-        # frame order) fold left-to-right like the scalar calls.
-        ledger = simulator.ledger
-        ledger.record("dram", float(external_total))
-        if depth > 1:
-            inner = np.arange(depth)[None, :] < (n_tasks - 1)[:, None]
-            vals = out_bytes.T[inner]
-            ledger.record_many("l2", vals[vals > 0.0])
-        ledger.frame_done(n)
-
-        out_ms = delay.push_many(latency) if delay is not None else latency
-        p_ms = plans.predicted_ms
-        actual_sid = meta.scenario_id
-        base = table.add_frames(
-            index=meta.index,
-            predicted_scenario=np.where(
-                plans.has_prediction, plans.predicted_scenario, actual_sid
-            ),
-            actual_scenario=actual_sid,
-            predicted_ms=np.where(np.isnan(p_ms), latency, p_ms),
-            serial_ms=latency,
-            latency_ms=latency,
-            output_ms=out_ms,
-            cores_used=plans.cores_used,
-        )
-
-        task_ms_frames: list[dict[str, float]] = [{} for _ in range(n)]
-        for name, bc in by_task.items():
-            tc = cols[name]
-            vals = bc.total_ms
-            table.fill_task_ms(name, base + tc.frames, vals)
-            for k, v in zip(tc.frames.tolist(), vals.tolist()):
-                task_ms_frames[k][name] = v
-
-        parts_list = plans.parts
-        if any(parts_list):
-            for k, parts in enumerate(parts_list):
-                for t, c in parts.items():
-                    table.fill_parts(t, base + k, c)
-
-        predicted = plans.predicted_task_ms
-        if any(d for d in predicted):
-            rows_by_task: dict[str, list[int]] = {}
-            vals_by_task: dict[str, list[float]] = {}
-            for k, d in enumerate(predicted):
-                if d:
-                    for t, v in d.items():
-                        rows = rows_by_task.get(t)
-                        if rows is None:
-                            rows = rows_by_task[t] = []
-                            vals_by_task[t] = []
-                        rows.append(base + k)
-                        vals_by_task[t].append(v)
-            for t, rows in rows_by_task.items():
-                table.fill_predicted_task_ms(
-                    t, np.asarray(rows), np.asarray(vals_by_task[t])
-                )
-        return task_ms_frames
+        raise NotImplementedError("use run or run_tape")
 
     @staticmethod
     def _log_frame(
@@ -665,6 +439,14 @@ class FrameEngine:
         inst.frame_latency_ms.observe(log.latency_ms)
         inst.cores_in_use.set(log.cores_used)
         if plan.prediction is not None:
+            predicted = log.predicted_task_ms
+            sp.set(
+                residual_ms={
+                    t: ms - predicted[t]
+                    for t, ms in log.task_ms.items()
+                    if t in predicted
+                }
+            )
             inst.residual_ms.observe(log.serial_ms - plan.prediction.frame_ms)
             if log.actual_scenario == log.predicted_scenario:
                 inst.scenario_hit.inc()
@@ -786,59 +568,6 @@ class TripleCPolicy:
             analysis.scenario_id, result.task_ms, plan.roi_kpixels
         )
 
-    def supports_batch(self) -> bool:
-        """Batchable when every prediction decomposes exactly.
-
-        Quality control reacts to each frame's decision by mutating
-        the live pipeline, which a recorded tape cannot honor.
-        """
-        return self.quality_controller is None and model_batchable(
-            self.triplec.computation
-        )
-
-    def plan_frames(
-        self, engine: FrameEngine, tape: FrameTape, costs: BatchCosts
-    ) -> BatchPlans:
-        """Plan a whole tape (vectorized :meth:`plan_frame`)."""
-        budget = self.budget.require()
-        scale = engine.simulator.cost_model.pixel_scale
-        n = len(tape)
-        plans = BatchPlans(n)
-        roi_kpx = tape.plan_roi_px / 1000.0 * scale
-        plans.roi_kpixels[:] = roi_kpx
-        sids, frame_preds, plausible = walk_scenario_predictions(
-            self.triplec, tape, roi_kpx, costs, plausible=True
-        )
-        plans.predicted_scenario[:] = sids
-        plans.has_prediction[:] = True
-        choose = self.partitioner.choose_robust
-        mappings = plans.mappings
-        cores_used = plans.cores_used
-        predicted_ms = plans.predicted_ms
-        parts = plans.parts
-        predicted_task_ms = plans.predicted_task_ms
-        for k in range(n):
-            decision = choose(plausible[k], budget)
-            mappings[k] = decision.mapping
-            cores_used[k] = decision.cores_used
-            parts[k] = dict(decision.parts)
-            pred = frame_preds[k]
-            predicted_task_ms[k] = pred
-            predicted_ms[k] = float(sum(pred.values()))
-        return plans
-
-    def observe_frames(
-        self,
-        engine: FrameEngine,
-        tape: FrameTape,
-        plans: BatchPlans,
-        task_ms_frames: list[dict[str, float]],
-    ) -> None:
-        """Feed a whole tape's measurements back (vectorized
-        :meth:`observe_frame`)."""
-        replay_observes(self.triplec, tape, task_ms_frames, plans.roi_kpixels)
-
-
 class StaticSerialPolicy:
     """Static serial mapping: no repartitioning, no QoS.
 
@@ -894,46 +623,6 @@ class StaticSerialPolicy:
                 analysis.scenario_id, result.task_ms, plan.roi_kpixels
             )
 
-    def supports_batch(self) -> bool:
-        return self.model is None or model_batchable(self.model.computation)
-
-    def plan_frames(
-        self, engine: FrameEngine, tape: FrameTape, costs: BatchCosts
-    ) -> BatchPlans:
-        """Plan a whole tape (vectorized :meth:`plan_frame`)."""
-        n = len(tape)
-        plans = BatchPlans(n)
-        if self.model is None:
-            return plans
-        scale = engine.simulator.cost_model.pixel_scale
-        roi_kpx = tape.plan_roi_px / 1000.0 * scale
-        plans.roi_kpixels[:] = roi_kpx
-        sids, frame_preds, _ = walk_scenario_predictions(
-            self.model, tape, roi_kpx, costs
-        )
-        plans.predicted_scenario[:] = sids
-        plans.has_prediction[:] = True
-        predicted_ms = plans.predicted_ms
-        predicted_task_ms = plans.predicted_task_ms
-        for k in range(n):
-            pred = frame_preds[k]
-            predicted_task_ms[k] = pred
-            predicted_ms[k] = float(sum(pred.values()))
-        return plans
-
-    def observe_frames(
-        self,
-        engine: FrameEngine,
-        tape: FrameTape,
-        plans: BatchPlans,
-        task_ms_frames: list[dict[str, float]],
-    ) -> None:
-        """Feed a whole tape's measurements back (vectorized
-        :meth:`observe_frame`)."""
-        if self.model is not None:
-            replay_observes(self.model, tape, task_ms_frames, plans.roi_kpixels)
-
-
 class WorstCaseReservationPolicy:
     """Section 6's strawman: reserve the worst case, pad to it.
 
@@ -965,27 +654,6 @@ class WorstCaseReservationPolicy:
         self, plan: FramePlan, analysis: FrameAnalysis, result: FrameResult
     ) -> None:
         return None
-
-    def supports_batch(self) -> bool:
-        return True
-
-    def plan_frames(
-        self, engine: FrameEngine, tape: FrameTape, costs: BatchCosts
-    ) -> BatchPlans:
-        """Plan a whole tape: serial mapping, the reserved estimate."""
-        plans = BatchPlans(len(tape))
-        plans.predicted_ms[:] = self.worst_case_ms
-        return plans
-
-    def observe_frames(
-        self,
-        engine: FrameEngine,
-        tape: FrameTape,
-        plans: BatchPlans,
-        task_ms_frames: list[dict[str, float]],
-    ) -> None:
-        return None
-
 
 @dataclass(frozen=True)
 class CoschedulePolicy:

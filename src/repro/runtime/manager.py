@@ -93,9 +93,6 @@ class ResourceManager:
         pipeline: AnalysisPipeline,
         seq_key: object = 0,
         label: str = "triple-c managed",
-        batched: bool = False,
     ) -> RunResult:
         """Run one sequence under management."""
-        return self.engine.run(
-            sequence, pipeline, seq_key=seq_key, label=label, batched=batched
-        )
+        return self.engine.run(sequence, pipeline, seq_key=seq_key, label=label)

@@ -79,21 +79,6 @@ class DelayLine:
         self.output_ms.append(out)
         return out
 
-    def push_many(self, completion_latency_ms: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`push` over a whole latency column.
-
-        ``max(x, target)`` selects one of its operands, so the numpy
-        maximum is bit-equal to the scalar fold; the violation count
-        and the recorded series are updated identically.
-        """
-        target = self.budget.require()
-        arr = np.asarray(completion_latency_ms, dtype=np.float64)
-        out = np.maximum(arr, target)
-        self.violations += int(np.count_nonzero(arr > target + 1e-9))
-        self.completion_ms.extend(arr.tolist())
-        self.output_ms.extend(out.tolist())
-        return out
-
     @property
     def n_frames(self) -> int:
         return len(self.output_ms)

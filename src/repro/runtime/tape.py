@@ -6,15 +6,16 @@ and the *scheduling* pass (predict, partition, simulate, observe).
 A :class:`FrameTape` records the image pass -- every
 :class:`~repro.imaging.pipeline.FrameAnalysis` plus the ROI size that
 was visible at planning time -- so the scheduling pass can be re-run
-on its own: through the scalar engine loop (bit-exact replay, the
-golden reference) or through the batched engine
-(:meth:`FrameEngine.run_tape` with ``batched=True``).
+on its own.  :meth:`FrameEngine.run_tape
+<repro.runtime.engine.FrameEngine.run_tape>` replays it through the
+engine's one per-frame loop, with :class:`TapeSequence` and
+:class:`TapePipeline` standing in for the sequence and the pipeline.
 
-The planning-time ROI needs care: the scalar loop plans frame ``k``
+The planning-time ROI needs care: the loop plans frame ``k``
 *before* processing it, so the policy sees the ROI tracker state left
 by frame ``k - 1``.  :func:`record_tape` reads the ROI at exactly
 that point (before ``process``), which is what makes replays
-reproduce the scalar run's plans byte for byte.
+reproduce a live run's plans byte for byte.
 
 A tape is also the unit of reuse: :func:`tape_for` holds one tape per
 ``(sequence, pipeline replay key)`` for as long as the sequence
@@ -32,58 +33,16 @@ from typing import Hashable, Iterator
 import numpy as np
 
 import repro.obs as obs
-from repro.hw.cost import ReportColumns
 from repro.imaging.pipeline import AnalysisPipeline, FrameAnalysis
 from repro.synthetic.sequence import XRaySequence
 
 __all__ = [
     "FrameTape",
-    "TapeFrameColumns",
-    "TapeTaskColumns",
+    "TapePipeline",
+    "TapeSequence",
     "record_tape",
     "tape_for",
 ]
-
-
-@dataclass(frozen=True)
-class TapeTaskColumns:
-    """One task's executions over a tape, in columnar form.
-
-    Attributes
-    ----------
-    reports:
-        The task's work reports, one per execution (frame order).
-    frames:
-        Frame index of each execution (``intp``).
-    positions:
-        Position of the task within its frame's report order
-        (``intp``); position 0 is the frame's first task.
-    indices:
-        ``analysis.index`` of each execution, as *python* ints -- the
-        values the scalar loop puts in its jitter frame keys.
-    columns:
-        The reports' raw numbers (:class:`~repro.hw.cost.ReportColumns`),
-        extracted once per tape.
-    """
-
-    reports: tuple
-    frames: np.ndarray
-    positions: np.ndarray
-    indices: tuple[int, ...]
-    columns: ReportColumns
-
-
-@dataclass(frozen=True)
-class TapeFrameColumns:
-    """Per-frame scalars of a tape, in columnar form.
-
-    ``index``/``scenario_id`` mirror the analyses' fields; ``n_tasks``
-    is each frame's report count (the batched fold's chain length).
-    """
-
-    index: np.ndarray
-    scenario_id: np.ndarray
-    n_tasks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,66 +65,9 @@ class FrameTape:
     def __post_init__(self) -> None:
         if self.plan_roi_px.shape != (len(self.analyses),):
             raise ValueError("plan_roi_px must have one entry per frame")
-        # Column caches (see cost_columns / frame_columns); a plain
-        # mutable container so the frozen value fields stay frozen.
-        object.__setattr__(self, "_cache", {})
 
     def __len__(self) -> int:
         return len(self.analyses)
-
-    def cost_columns(self) -> dict[str, TapeTaskColumns]:
-        """Per-task columnar report data, extracted once and cached.
-
-        Tasks appear in first-appearance order across the tape -- the
-        order the scalar loop first sees them in, which fixes the
-        frame table's column-creation order in the batched fold.
-        """
-        cached = self._cache.get("cost_columns")
-        if cached is None:
-            grouped: dict[str, tuple[list, list, list, list]] = {}
-            for k, analysis in enumerate(self.analyses):
-                index = analysis.index
-                for pos, (name, report) in enumerate(analysis.reports.items()):
-                    entry = grouped.get(name)
-                    if entry is None:
-                        entry = ([], [], [], [])
-                        grouped[name] = entry
-                    entry[0].append(report)
-                    entry[1].append(k)
-                    entry[2].append(pos)
-                    entry[3].append(index)
-            cached = {
-                name: TapeTaskColumns(
-                    reports=tuple(reports),
-                    frames=np.asarray(ks, dtype=np.intp),
-                    positions=np.asarray(pos, dtype=np.intp),
-                    indices=tuple(indices),
-                    columns=ReportColumns(reports),
-                )
-                for name, (reports, ks, pos, indices) in grouped.items()
-            }
-            self._cache["cost_columns"] = cached
-        return cached
-
-    def frame_columns(self) -> TapeFrameColumns:
-        """Per-frame index/scenario/chain-length columns (cached)."""
-        cached = self._cache.get("frame_columns")
-        if cached is None:
-            analyses = self.analyses
-            n = len(analyses)
-            cached = TapeFrameColumns(
-                index=np.fromiter(
-                    (a.index for a in analyses), dtype=np.int32, count=n
-                ),
-                scenario_id=np.fromiter(
-                    (a.scenario_id for a in analyses), dtype=np.int16, count=n
-                ),
-                n_tasks=np.fromiter(
-                    (len(a.reports) for a in analyses), dtype=np.intp, count=n
-                ),
-            )
-            self._cache["frame_columns"] = cached
-        return cached
 
 
 def record_tape(sequence: XRaySequence, pipeline: AnalysisPipeline) -> FrameTape:
@@ -234,7 +136,7 @@ class TapePipeline:
     ``roi`` exposes the recorded planning-time ROI of the next frame;
     ``process`` returns that frame's recorded analysis and advances.
     Together with :class:`TapeSequence` this lets the unmodified
-    scalar engine loop re-run a tape bit-exactly.
+    engine loop re-run a tape bit-exactly.
     """
 
     def __init__(self, tape: FrameTape) -> None:

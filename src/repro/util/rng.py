@@ -11,12 +11,10 @@ in EXPERIMENTS.md reproducible bit-for-bit.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["rng_stream", "rng_stream_many", "spawn_seeds"]
+__all__ = ["rng_stream", "spawn_seeds"]
 
 
 def _key_entropy(*keys: object) -> list[int]:
@@ -45,159 +43,6 @@ def rng_stream(root_seed: int, *keys: object) -> np.random.Generator:
     """
     seq = np.random.SeedSequence([int(root_seed) & 0xFFFFFFFF, *_key_entropy(*keys)])
     return np.random.default_rng(seq)
-
-
-# -- batched stream creation -------------------------------------------------
-#
-# ``rng_stream`` costs ~20 us per call, almost all of it inside
-# ``SeedSequence.__init__`` (entropy-pool mixing) and
-# ``generate_state`` (PCG64 seed words).  Both stages are pure uint32
-# arithmetic with a *data-independent* control flow once the entropy
-# width is fixed, so they vectorize across keys.  The constants and
-# the mixing schedule below replicate numpy's SeedSequence exactly
-# (verified word-for-word by tests/util/test_rng_many.py), which makes
-# ``rng_stream_many`` produce generators whose draw sequences are
-# bit-identical to per-key ``rng_stream`` calls.
-
-_POOL_SIZE = 4
-_INIT_A = np.uint32(0x43B0D7E5)
-_MULT_A = np.uint32(0x931E8875)
-_INIT_B = np.uint32(0x8B51F9DD)
-_MULT_B = np.uint32(0x58F38DED)
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-#: PCG64 asks its seed sequence for exactly 4 uint64 words.
-_PCG64_STATE_WORDS = 4
-
-
-class _PrecomputedSeed(ISeedSequence):
-    """Seed-sequence shim handing PCG64 precomputed state words.
-
-    ``BitGenerator.__init__`` accepts any ``ISeedSequence`` and calls
-    only ``generate_state`` on it, so a shim carrying the batch-mixed
-    words lets us skip the per-key Cython SeedSequence entirely.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: np.ndarray) -> None:
-        self._state = state
-
-    def generate_state(
-        self, n_words: int, dtype: object = np.uint32
-    ) -> np.ndarray:
-        if dtype != np.uint64 or n_words != _PCG64_STATE_WORDS:
-            raise ValueError(
-                "precomputed seed only serves PCG64's 4xuint64 request"
-            )
-        return self._state
-
-
-def _entropy_rows(
-    root_seed: int, prefix: tuple[object, ...], suffixes: Sequence[tuple[object, ...]]
-) -> np.ndarray:
-    """Assembled entropy, one row per key: ``[seed_word, *sha words]``.
-
-    The sha256 of the shared ``prefix`` is hashed once and ``copy()``d
-    per suffix, matching ``_key_entropy(*prefix, *suffix)`` exactly
-    (the hash is a plain left-to-right fold over the key words).
-    """
-    h0 = hashlib.sha256()
-    for key in prefix:
-        h0.update(repr(key).encode("utf-8"))
-        h0.update(b"\x1f")
-    n = len(suffixes)
-    copy = h0.copy
-    digests = bytearray()
-    for suffix in suffixes:
-        h = copy()
-        for key in suffix:
-            h.update(repr(key).encode("utf-8"))
-            h.update(b"\x1f")
-        digests += h.digest()[:16]
-    rows = np.empty((n, 5), dtype=np.uint32)
-    rows[:, 0] = np.uint32(int(root_seed) & 0xFFFFFFFF)
-    rows[:, 1:] = np.frombuffer(bytes(digests), dtype="<u4").reshape(n, 4)
-    return rows
-
-
-def _mix_pools(entropy: np.ndarray) -> np.ndarray:
-    """Vectorized ``SeedSequence.mix_entropy`` over axis 0.
-
-    ``entropy`` is ``(n_keys, n_words) uint32``; returns the
-    ``(n_keys, _POOL_SIZE)`` entropy pools.  The hash constant evolves
-    identically for every key (its schedule depends only on the word
-    count), so it stays scalar while the values are whole columns.
-    """
-    n_keys, n_words = entropy.shape
-    pool = np.zeros((n_keys, _POOL_SIZE), dtype=np.uint32)
-    with np.errstate(over="ignore"):
-        hash_const = _INIT_A
-
-        def hashmix(value: np.ndarray) -> np.ndarray:
-            nonlocal hash_const
-            value = value ^ hash_const
-            hash_const = hash_const * _MULT_A
-            value = value * hash_const
-            value ^= value >> _XSHIFT
-            return value
-
-        def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            result = (x * _MIX_MULT_L) - (y * _MIX_MULT_R)
-            result ^= result >> _XSHIFT
-            return result
-
-        for i in range(_POOL_SIZE):
-            if i < n_words:
-                pool[:, i] = hashmix(entropy[:, i])
-            else:
-                pool[:, i] = hashmix(np.zeros(n_keys, dtype=np.uint32))
-        for i_src in range(_POOL_SIZE):
-            for i_dst in range(_POOL_SIZE):
-                if i_src != i_dst:
-                    pool[:, i_dst] = mix(pool[:, i_dst], hashmix(pool[:, i_src]))
-        for i_src in range(_POOL_SIZE, n_words):
-            for i_dst in range(_POOL_SIZE):
-                pool[:, i_dst] = mix(pool[:, i_dst], hashmix(entropy[:, i_src]))
-    return pool
-
-
-def _generate_states(pool: np.ndarray) -> np.ndarray:
-    """Vectorized ``SeedSequence.generate_state(4, uint64)`` over axis 0."""
-    n_keys = pool.shape[0]
-    n32 = 2 * _PCG64_STATE_WORDS
-    out = np.empty((n_keys, n32), dtype=np.uint32)
-    with np.errstate(over="ignore"):
-        hash_const = _INIT_B
-        for i_dst in range(n32):
-            data_val = pool[:, i_dst % _POOL_SIZE] ^ hash_const
-            hash_const = hash_const * _MULT_B
-            data_val = data_val * hash_const
-            data_val = data_val ^ (data_val >> _XSHIFT)
-            out[:, i_dst] = data_val
-    return out.view(np.uint64)
-
-
-def rng_stream_many(
-    root_seed: int,
-    prefix: tuple[object, ...],
-    suffixes: Sequence[tuple[object, ...]],
-) -> list[np.random.Generator]:
-    """Batch equivalent of ``[rng_stream(root_seed, *prefix, *s) for s in suffixes]``.
-
-    Every returned generator produces a draw sequence bit-identical to
-    its scalar counterpart; only the seeding work is vectorized
-    (shared-prefix sha256 copying plus numpy-wide pool mixing), which
-    makes stream creation ~5x cheaper per key.  This is the primitive
-    behind the batched cost model's per-(task, frame) jitter draws.
-    """
-    if not suffixes:
-        return []
-    states = _generate_states(_mix_pools(_entropy_rows(root_seed, prefix, suffixes)))
-    pcg = np.random.PCG64
-    gen = np.random.Generator
-    return [gen(pcg(_PrecomputedSeed(states[i]))) for i in range(len(suffixes))]
 
 
 def spawn_seeds(root_seed: int, n: int, *keys: object) -> list[int]:

@@ -117,21 +117,6 @@ class TestCompareDocs:
         assert failures == []
         assert any("assumed comparable" in n for n in notes)
 
-    def test_engine_metrics_gate_like_the_others(self):
-        base = doc(engine_batch_speedup=6.0, engine_byte_identical=True)
-        failures, _ = compare_docs(
-            base,
-            doc(engine_batch_speedup=1.5, engine_byte_identical=True),
-            tolerance=0.5,
-        )
-        assert any("engine_batch_speedup" in f for f in failures)
-        failures, _ = compare_docs(
-            base,
-            doc(engine_batch_speedup=6.0, engine_byte_identical=False),
-            tolerance=0.5,
-        )
-        assert any("engine_byte_identical" in f for f in failures)
-
     def test_fleet_metrics_gate_like_the_others(self):
         base = doc(fleet_p99_wait_gain=1.3, fleet_deterministic=True)
         failures, _ = compare_docs(
@@ -162,24 +147,6 @@ class TestCompareDocs:
         )
         assert any("replay_deterministic" in f for f in failures)
 
-    def test_v3_baseline_without_replay_metrics_skipped(self):
-        base = dict(doc(), schema="repro-bench/3")
-        cur = doc(replay_p99_wait_gain=1.4, replay_deterministic=True)
-        failures, notes = compare_docs(base, cur, tolerance=0.5)
-        assert failures == []
-        assert any(
-            "replay_p99_wait_gain: not in baseline" in n for n in notes
-        )
-
-    def test_v2_baseline_without_fleet_metrics_skipped(self):
-        base = dict(doc(), schema="repro-bench/2")
-        cur = doc(fleet_p99_wait_gain=1.3, fleet_deterministic=True)
-        failures, notes = compare_docs(base, cur, tolerance=0.5)
-        assert failures == []
-        assert any(
-            "fleet_p99_wait_gain: not in baseline" in n for n in notes
-        )
-
     def test_fleet_wait_ms_values_informational(self):
         base = doc(fleet_fcfs_p99_wait_ms=100.0)
         cur = doc(fleet_fcfs_p99_wait_ms=9999.0)
@@ -187,17 +154,6 @@ class TestCompareDocs:
         assert failures == []
         assert any(
             "fleet_fcfs_p99_wait_ms: informational" in n for n in notes
-        )
-
-    def test_v1_baseline_without_engine_metrics_skipped(self):
-        # A committed repro-bench/1 baseline predates the engine
-        # stage; its absence must not fail a v2 current run.
-        base = dict(doc(), schema="repro-bench/1")
-        cur = doc(engine_batch_speedup=6.0, engine_byte_identical=True)
-        failures, notes = compare_docs(base, cur, tolerance=0.5)
-        assert failures == []
-        assert any(
-            "engine_batch_speedup: not in baseline" in n for n in notes
         )
 
 
@@ -272,13 +228,15 @@ class TestMain:
         )
         assert "bench compare:" in capsys.readouterr().err
 
-    def test_v1_document_loads_fine(self, tmp_path, capsys):
-        base = self._write(
-            tmp_path / "base.json", dict(doc(), schema="repro-bench/1")
-        )
+    @pytest.mark.parametrize(
+        "schema",
+        ["repro-bench/1", "repro-bench/2", "repro-bench/3", "repro-bench/4"],
+    )
+    def test_older_schema_exits_2(self, tmp_path, capsys, schema):
+        base = self._write(tmp_path / "base.json", dict(doc(), schema=schema))
         cur = self._write(tmp_path / "cur.json", doc())
-        assert main(["--baseline", base, "--current", cur]) == 0
-        assert "bench compare: ok" in capsys.readouterr().out
+        assert main(["--baseline", base, "--current", cur]) == 2
+        assert schema in capsys.readouterr().err
 
     def test_wrong_schema_exits_2(self, tmp_path, capsys):
         base = self._write(tmp_path / "base.json", doc())

@@ -112,6 +112,34 @@ class TestManagerTelemetry:
         frame_hist = o.metrics.histogram("runtime_frame_residual_ms")
         assert frame_hist.count == len(seq)
 
+    def test_frame_spans_carry_task_residuals(self, managed_obs):
+        o, result, _seq = managed_obs
+        for span, log in zip(spans_named(o, "engine.frame"), result.frames):
+            predicted = log.predicted_task_ms
+            assert span["attrs"]["residual_ms"] == {
+                t: ms - predicted[t] for t, ms in log.task_ms.items() if t in predicted
+            }
+
+    def test_report_fills_residual_columns(self, managed_obs, tmp_path):
+        from repro.obs.export import read_jsonl
+        from repro.obs.report import render_report
+
+        o, _result, _seq = managed_obs
+        trace_path, _prom = obs.dump(o, tmp_path)
+        lines = render_report(read_jsonl(trace_path)).splitlines()
+        start = lines.index(
+            "tasks (simulated single-core ms; residual = measured - predicted)"
+        )
+        assert lines[start + 1].split()[-2:] == ["mean_resid", "mean_|resid|"]
+        rows = []
+        for line in lines[start + 3 :]:
+            if not line:
+                break
+            rows.append(line.split())
+        assert rows
+        for row in rows:
+            float(row[-2]), float(row[-1])  # a "-" cell raises here
+
     def test_latency_histogram_sums_match_log(self, managed_obs):
         o, result, _seq = managed_obs
         hist = o.metrics.histogram("runtime_frame_latency_ms")

@@ -27,6 +27,7 @@ from repro.runtime import (
     QualityController,
     StaticSerialPolicy,
     TripleCPolicy,
+    record_tape,
     run_straightforward,
     run_worst_case,
 )
@@ -138,17 +139,6 @@ class TestOpenLoopReuse:
         for got, want in zip(replayed, live):
             assert_same_columns(got, want)
 
-    def test_batched_runs_share_the_memo(self, calls, profile_config):
-        seq = fig7_sequence(n_frames=N_FRAMES)
-        scalar = run_straightforward(
-            seq, make_pipeline(seq), profile_config.make_simulator()
-        )
-        batched = run_straightforward(
-            seq, make_pipeline(seq), profile_config.make_simulator(), batched=True
-        )
-        assert calls["process"] == N_FRAMES
-        assert_same_columns(batched, scalar)
-
     def test_first_run_consumes_its_pipeline_later_runs_do_not(
         self, profile_config
     ):
@@ -220,6 +210,54 @@ class TestLiveRuns:
         pipe.process(seq.frame(0)[0])
         pipe.reset()
         assert pipe.replay_key() == key
+
+
+class TestRunTape:
+    def test_replay_matches_live_run(self, trained_model, profile_config):
+        """A tape recorded by hand and replayed reproduces a forced-live
+        managed run exactly, including the model's end state."""
+
+        def managed():
+            sim = profile_config.make_simulator()
+            policy = TripleCPolicy.for_simulator(copy.deepcopy(trained_model), sim)
+            return FrameEngine(sim, policy)
+
+        seq = fig7_sequence(n_frames=N_FRAMES)
+        live_engine = managed()
+        live = live_engine.run(seq, live_pipeline(seq), seq_key="r-tp")
+        tape_engine = managed()
+        replayed = tape_engine.run_tape(
+            record_tape(seq, make_pipeline(seq)), seq_key="r-tp"
+        )
+        assert_same_columns(replayed, live)
+        assert (
+            tape_engine.simulator.ledger.total_bytes()
+            == live_engine.simulator.ledger.total_bytes()
+        )
+        model_live = live_engine.policy.triplec
+        model_tape = tape_engine.policy.triplec
+        assert np.array_equal(model_tape.scenarios.counts, model_live.scenarios.counts)
+        assert model_tape.predict(100.0).task_ms == model_live.predict(100.0).task_ms
+
+    def test_replay_refuses_frame_setup(self, profile_config):
+        seq = fig7_sequence(n_frames=4)
+        tape = record_tape(seq, make_pipeline(seq))
+        engine = FrameEngine(
+            profile_config.make_simulator(),
+            StaticSerialPolicy(frame_setup=lambda pipeline: None),
+        )
+        with pytest.raises(ValueError, match="frame_setup"):
+            engine.run_tape(tape)
+
+    def test_replay_refuses_quality_controller(self, trained_model, profile_config):
+        seq = fig7_sequence(n_frames=4)
+        tape = record_tape(seq, make_pipeline(seq))
+        sim = profile_config.make_simulator()
+        policy = TripleCPolicy.for_simulator(
+            copy.deepcopy(trained_model), sim, quality_controller=QualityController()
+        )
+        with pytest.raises(ValueError, match="quality controller"):
+            FrameEngine(sim, policy).run_tape(tape)
 
 
 class TestMemoLifetime:
